@@ -1,7 +1,8 @@
-// Speedup curve of the work-stealing parallel exact branch-and-bound over
-// the sequential engine on the standard hard-instance set (twopoint and
-// uniform shapes sized so the sequential search runs 10^5..10^7 nodes).
-// Each instance is solved sequentially, then at 1/2/4/8 worker threads;
+// Speedup curve of the exact branch-and-bound over its thread count on the
+// standard hard-instance set (twopoint and uniform shapes sized so the
+// sequential search runs 10^5..10^7 nodes). Each instance is solved with the
+// default options (`seq`), then at 1/2/4/8 threads (`t1` takes the same
+// single-threaded path as `seq`);
 // makespans must agree bit-identically and the per-thread-count speedups
 // land in BENCH_exact.json for regression tracking.
 //
@@ -16,7 +17,6 @@
 #include "gen/generators.h"
 #include "harness.h"
 #include "sched/exact.h"
-#include "sched/exact_parallel.h"
 
 namespace {
 
@@ -74,10 +74,10 @@ int main(int argc, char** argv) {
       sched::ExactResult par;
       auto& par_case = harness.run_case(
           label + "/t" + std::to_string(threads), reps, [&] {
-            sched::ExactParallelOptions options;
-            options.base.time_limit_seconds = 120.0;
+            sched::ExactOptions options;
+            options.time_limit_seconds = 120.0;
             options.num_threads = threads;
-            par = sched::solve_exact_parallel(instance, options);
+            par = sched::solve_exact(instance, options);
           });
       const double speedup =
           par_case.median_seconds > 0.0

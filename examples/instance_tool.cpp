@@ -24,9 +24,7 @@
 // endpoint (`--recovery` narrows it to the durability/session-resume
 // counter families).
 //
-// Each subcommand is its own handler behind a dispatch table; legacy
-// spellings (`portfolio`) remain as deprecation shims that warn on stderr
-// and forward to the canonical subcommand.
+// Each subcommand is its own handler behind a dispatch table.
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -525,16 +523,8 @@ constexpr Command kCommands[] = {
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
-  std::string command = argv[1];
+  const std::string command = argv[1];
   std::vector<std::string> args(argv + 2, argv + argc);
-  // Deprecation shims: legacy spellings forward to the canonical
-  // subcommand with a one-line warning; scripts keep working.
-  if (command == "portfolio") {
-    std::cerr << "instance_tool: `portfolio` is deprecated; "
-                 "use `solve --portfolio`\n";
-    command = "solve";
-    args.push_back("--portfolio");
-  }
   try {
     for (const Command& entry : kCommands) {
       if (command == entry.name) return entry.run(args);

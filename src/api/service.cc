@@ -707,8 +707,19 @@ void SchedulingService::run_session_op(
     session->last_commit_result = result;
   }
 
-  const bool fresh_path =
-      stat_str(result.stats, "online.path") == "fresh";
+  if (is_delta) {
+    // Counted before the ack is visible: a caller whose delta resolved
+    // must find it in stats().
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++session_deltas_;
+    if (duplicate) {
+      ++session_duplicates_;
+    } else if (stat_str(result.stats, "online.path") == "fresh") {
+      ++session_fresh_;
+    } else if (result.ok()) {
+      ++session_repaired_;
+    }
+  }
   resolve(state, std::move(result), /*emit_finished=*/true);
 
   {
@@ -722,16 +733,6 @@ void SchedulingService::run_session_op(
       session->failed = true;
       session->closed = true;
       ++sessions_closed_;
-    }
-    if (is_delta) {
-      ++session_deltas_;
-      if (duplicate) {
-        ++session_duplicates_;
-      } else if (fresh_path) {
-        ++session_fresh_;
-      } else if (state->result.ok()) {
-        ++session_repaired_;
-      }
     }
     pump_session_locked(session);
   }
@@ -1060,6 +1061,14 @@ void SchedulingService::run_request(std::shared_ptr<RequestState> state) {
     result.stats["cache_stored"] = true;
   }
 
+  {
+    // Counted before any handle resolves: a caller whose wait() returned
+    // must find its request in stats().
+    std::lock_guard<std::mutex> lock(mutex_);
+    finished_ += 1 + shared.size();
+    dedup_shared_ += shared.size();
+  }
+
   // Fan the result out to the followers (exact-key twins: the remapped
   // schedule, makespan and status transfer verbatim), honouring each
   // follower's own deadline/cancel state. The leader is still in running_,
@@ -1097,8 +1106,6 @@ void SchedulingService::run_request(std::shared_ptr<RequestState> state) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     running_.erase(std::find(running_.begin(), running_.end(), state));
-    finished_ += 1 + shared.size();
-    dedup_shared_ += shared.size();
     if (!stopping_) dispatch_locked();
   }
   idle_cv_.notify_all();

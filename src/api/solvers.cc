@@ -17,7 +17,6 @@
 #include "milp/branch_and_bound.h"
 #include "sched/bag_lpt.h"
 #include "sched/exact.h"
-#include "sched/exact_parallel.h"
 #include "sched/greedy_bags.h"
 #include "sched/local_search.h"
 #include "sched/lpt.h"
@@ -144,16 +143,20 @@ class EptasSolver final : public Solver {
   }
 };
 
+/// Both exact registry names: `exact` pins one thread (the DFS runs on the
+/// calling thread), `exact-parallel` uses SolveOptions::num_threads.
 class ExactSolver final : public Solver {
  public:
-  ExactSolver()
-      : Solver({.name = "exact",
-                .summary = "branch-and-bound over job->machine assignments",
+  ExactSolver(std::string name, std::string summary,
+              std::string typical_scale, bool parallel)
+      : Solver({.name = std::move(name),
+                .summary = std::move(summary),
                 .guarantee = Guarantee::Exact,
                 .exact = true,
                 .respects_bags = true,
                 .guarantee_text = "optimal within node/time budget",
-                .typical_scale = "n <= ~24"}) {}
+                .typical_scale = std::move(typical_scale)}),
+        parallel_(parallel) {}
 
   void run(const model::Instance& instance, const SolveOptions& options,
            SolveResult& result) const override {
@@ -162,6 +165,12 @@ class ExactSolver final : public Solver {
     native_options.time_limit_seconds = options.time_limit_seconds;
     native_options.cancel = options.cancel;
     native_options.on_incumbent = incumbent_emitter(options, name());
+    native_options.num_threads =
+        !parallel_ ? 1
+        : options.num_threads > 0
+            ? options.num_threads
+            : static_cast<int>(
+                  std::max(1u, std::thread::hardware_concurrency()));
 
     const auto native = sched::solve_exact(instance, native_options);
     result.schedule = native.schedule;
@@ -169,42 +178,12 @@ class ExactSolver final : public Solver {
     result.cancelled = native.cancelled;
     result.stats["nodes"] = native.nodes;
     result.stats["proven_optimal"] = native.proven_optimal;
+    result.stats["threads"] =
+        static_cast<long long>(native_options.num_threads);
   }
-};
 
-class ExactParallelSolver final : public Solver {
- public:
-  ExactParallelSolver()
-      : Solver({.name = "exact-parallel",
-                .summary = "work-stealing parallel branch-and-bound",
-                .guarantee = Guarantee::Exact,
-                .exact = true,
-                .respects_bags = true,
-                .guarantee_text = "optimal within node/time budget",
-                .typical_scale = "n <= ~28 (threads permitting)"}) {}
-
-  void run(const model::Instance& instance, const SolveOptions& options,
-           SolveResult& result) const override {
-    sched::ExactParallelOptions native_options;
-    native_options.base.max_nodes = options.max_nodes;
-    native_options.base.time_limit_seconds = options.time_limit_seconds;
-    native_options.base.cancel = options.cancel;
-    native_options.base.on_incumbent = incumbent_emitter(options, name());
-    native_options.num_threads = options.num_threads;
-
-    const auto native =
-        sched::solve_exact_parallel(instance, native_options);
-    result.schedule = native.schedule;
-    result.proven_optimal = native.proven_optimal;
-    result.cancelled = native.cancelled;
-    result.stats["nodes"] = native.nodes;
-    result.stats["proven_optimal"] = native.proven_optimal;
-    result.stats["threads"] = static_cast<long long>(
-        native_options.num_threads > 0
-            ? native_options.num_threads
-            : static_cast<int>(std::max(
-                  1u, std::thread::hardware_concurrency())));
-  }
+ private:
+  bool parallel_;
 };
 
 class MilpSolver final : public Solver {
@@ -442,8 +421,12 @@ class GreedyStackSolver final : public Solver {
 std::vector<std::unique_ptr<Solver>> make_builtin_solvers() {
   std::vector<std::unique_ptr<Solver>> solvers;
   solvers.push_back(std::make_unique<EptasSolver>());
-  solvers.push_back(std::make_unique<ExactSolver>());
-  solvers.push_back(std::make_unique<ExactParallelSolver>());
+  solvers.push_back(std::make_unique<ExactSolver>(
+      "exact", "branch-and-bound over job->machine assignments", "n <= ~24",
+      /*parallel=*/false));
+  solvers.push_back(std::make_unique<ExactSolver>(
+      "exact-parallel", "work-stealing parallel branch-and-bound",
+      "n <= ~28 (threads permitting)", /*parallel=*/true));
   solvers.push_back(std::make_unique<MilpSolver>());
   solvers.push_back(std::make_unique<LptSolver>());
   solvers.push_back(std::make_unique<BagLptSolver>());

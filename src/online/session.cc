@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
 
 #include "model/lower_bounds.h"
+#include "sched/exact.h"
 #include "sched/local_search.h"
 #include "util/stopwatch.h"
 
@@ -104,108 +104,6 @@ void greedy_place(const model::Instance& instance,
     used[static_cast<std::size_t>(best)] = 1;
   }
 }
-
-/// Optimal re-placement of a small affected region against the fixed
-/// remainder of the schedule: branch-and-bound over the affected jobs
-/// (largest first), machines tried in ascending-load order, pruning on the
-/// incumbent makespan and on equal-load symmetry. Budgeted by `max_nodes`.
-class RegionSolver {
- public:
-  RegionSolver(const model::Instance& instance,
-               const model::Schedule& fixed,
-               std::vector<model::JobId> region, long long max_nodes)
-      : instance_(instance), region_(std::move(region)),
-        max_nodes_(max_nodes) {
-    const int m = instance.num_machines();
-    loads_.assign(static_cast<std::size_t>(m), 0.0);
-    in_region_.assign(static_cast<std::size_t>(instance.num_jobs()), 0);
-    for (const model::JobId job : region_) {
-      in_region_[static_cast<std::size_t>(job)] = 1;
-      bag_used_.try_emplace(
-          instance.job(job).bag,
-          std::vector<char>(static_cast<std::size_t>(m), 0));
-    }
-    for (model::JobId job = 0; job < instance.num_jobs(); ++job) {
-      if (in_region_[static_cast<std::size_t>(job)]) continue;
-      const model::MachineId machine = fixed.machine_of(job);
-      loads_[static_cast<std::size_t>(machine)] += instance.job(job).size;
-      const auto it = bag_used_.find(instance.job(job).bag);
-      if (it != bag_used_.end()) {
-        it->second[static_cast<std::size_t>(machine)] = 1;
-      }
-    }
-    std::sort(region_.begin(), region_.end(),
-              [&](model::JobId a, model::JobId b) {
-                const double sa = instance.job(a).size;
-                const double sb = instance.job(b).size;
-                return sa != sb ? sa > sb : a < b;
-              });
-    assign_.assign(region_.size(), model::kUnassigned);
-  }
-
-  /// Best makespan found (assignments written into `schedule`), or +inf
-  /// when the node budget ran out before any complete placement.
-  double solve(model::Schedule& schedule) {
-    best_ = std::numeric_limits<double>::infinity();
-    dfs(0);
-    if (!best_assign_.empty()) {
-      for (std::size_t i = 0; i < region_.size(); ++i) {
-        schedule.assign(region_[i], best_assign_[i]);
-      }
-    }
-    return best_;
-  }
-
- private:
-  void dfs(std::size_t depth) {
-    if (nodes_++ > max_nodes_) return;
-    double tallest = 0.0;
-    for (const double load : loads_) tallest = std::max(tallest, load);
-    if (tallest >= best_) return;  // can only grow from here
-    if (depth == region_.size()) {
-      best_ = tallest;
-      best_assign_ = assign_;
-      return;
-    }
-    const model::JobId job = region_[depth];
-    const double size = instance_.job(job).size;
-    std::vector<char>& used = bag_used_.at(instance_.job(job).bag);
-    const int m = instance_.num_machines();
-    std::vector<model::MachineId> order(static_cast<std::size_t>(m));
-    for (int k = 0; k < m; ++k) order[static_cast<std::size_t>(k)] = k;
-    std::sort(order.begin(), order.end(),
-              [&](model::MachineId a, model::MachineId b) {
-                return loads_[static_cast<std::size_t>(a)] <
-                       loads_[static_cast<std::size_t>(b)];
-              });
-    double last_load = -1.0;
-    for (const model::MachineId machine : order) {
-      if (used[static_cast<std::size_t>(machine)]) continue;
-      const double load = loads_[static_cast<std::size_t>(machine)];
-      // Identical machines: two equally loaded conflict-free machines are
-      // interchangeable for this job.
-      if (load == last_load) continue;
-      last_load = load;
-      if (load + size >= best_) break;  // order is ascending: all worse
-      loads_[static_cast<std::size_t>(machine)] += size;
-      used[static_cast<std::size_t>(machine)] = 1;
-      assign_[depth] = machine;
-      dfs(depth + 1);
-      loads_[static_cast<std::size_t>(machine)] -= size;
-      used[static_cast<std::size_t>(machine)] = 0;
-    }
-  }
-
-  const model::Instance& instance_;
-  std::vector<model::JobId> region_;
-  long long max_nodes_;
-  long long nodes_ = 0;
-  std::vector<double> loads_;
-  std::vector<char> in_region_;
-  std::unordered_map<model::BagId, std::vector<char>> bag_used_;
-  std::vector<model::MachineId> assign_, best_assign_;
-  double best_ = 0.0;
-};
 
 }  // namespace
 
@@ -410,13 +308,14 @@ api::SolveResult ScheduleSession::apply(const model::Delta& delta) {
         repaired.makespan(next) > regret_cap &&
         affected > 0 &&
         affected <= static_cast<std::size_t>(options_.region_max_jobs)) {
-      model::Schedule regional = repaired;
-      RegionSolver solver(next, regional, region,
-                          options_.region_max_nodes);
-      const double regional_makespan = solver.solve(regional);
-      if (regional_makespan < repaired.makespan(next) &&
-          model::validate(next, regional).ok()) {
-        repaired = std::move(regional);
+      sched::ExactOptions region_options;
+      region_options.max_nodes = options_.region_max_nodes;
+      region_options.cancel = options_.solve.cancel;
+      const sched::PartialAssignment partial{repaired, region};
+      sched::ExactResult regional =
+          sched::solve_exact(next, region_options, &partial);
+      if (regional.makespan < repaired.makespan(next)) {
+        repaired = std::move(regional.schedule);
         path = RepairPath::Region;
       }
     }

@@ -17,7 +17,8 @@
 //                 polishes the result from that warm start;
 //   3. region   — when the delta touched only a few jobs and repair missed
 //                 the regret bound, just those jobs are re-placed optimally
-//                 by a small branch-and-bound against the fixed remainder;
+//                 against the fixed remainder (sched::solve_exact with a
+//                 partial assignment);
 //   4. fresh    — when the repaired makespan still exceeds
 //                 (1 + regret_bound) * lower_bound, fall back to a full
 //                 portfolio solve (the same one a cold request would get).
@@ -56,7 +57,7 @@ struct SessionOptions {
   /// Region re-solve triggers only when at most this many jobs were
   /// directly affected by the delta (arrivals, resizes, displaced jobs).
   int region_max_jobs = 8;
-  /// Node budget for the region branch-and-bound.
+  /// Node budget for the region re-solve (sched::solve_exact).
   long long region_max_nodes = 200'000;
   /// Committed schedules remembered per session (exact + rounded keys).
   std::size_t memo_capacity = 32;

@@ -1,13 +1,32 @@
-// Exact branch-and-bound solver for small instances.
+// Exact branch-and-bound over job -> machine assignments.
 //
 // Provides the ground-truth OPT against which approximation ratios are
-// measured (DESIGN.md experiment E1/E9). Depth-first search over job ->
-// machine assignments in LPT order, with machine-symmetry breaking, bag
-// pruning, area lower bounds, and a greedy incumbent.
+// measured (DESIGN.md experiment E1/E9), and the optimal re-placement used
+// by the online session's region stage. One depth-first search serves every
+// caller: jobs are branched in LPT order onto machines, pruned by bag
+// occupancy, the area lower bound, the incumbent makespan and an
+// equal-load/equal-bag-mask dominance rule, and the search stops early once
+// the incumbent meets the combined lower bound. With all machines empty,
+// identical fresh machines are interchangeable, so at most one is tried.
+//
+// Threads: num_threads <= 1 runs the DFS from the root on the calling
+// thread. A larger count first expands the top of the tree, level by level
+// and with the same DFS, into stealable subtree frames, then has a
+// util::ThreadPool drain them. Workers share the incumbent makespan through
+// an atomic, so each prunes against the global best. On a completed search
+// makespan and proven_optimal are identical for every thread count (the
+// optimum is unique and completion is completion); node counts and which
+// optimal schedule wins a tie may vary with scheduling.
+//
+// Partial assignment: given a complete starting schedule and the jobs that
+// may move, only those jobs are branched on. Every other job stays where the
+// start puts it, and the start is the initial incumbent, so the result is
+// never worse than it. Machines that carry fixed load are not
+// interchangeable, so the fresh-machine rule is off in this mode.
 #pragma once
 
 #include <functional>
-#include <optional>
+#include <vector>
 
 #include "model/instance.h"
 #include "model/schedule.h"
@@ -18,17 +37,21 @@ namespace bagsched::sched {
 struct ExactOptions {
   long long max_nodes = 50'000'000;
   double time_limit_seconds = 30.0;
-  /// Nodes between time-limit / cancellation checks (rounded down to a
-  /// power of two and used as a bit mask, so the per-node cost is one AND).
-  /// The parallel engine also uses it as the per-worker flush interval for
-  /// the shared node counter.
-  long long check_interval = 8192;
+  /// Search threads; values <= 1 run the sequential DFS on the caller.
+  int num_threads = 1;
   /// Cooperative cancellation, polled alongside the time-limit check.
   const util::CancellationToken* cancel = nullptr;
-  /// Invoked with the incumbent makespan: once for the initial local-search
-  /// incumbent and again every time the search improves on it. Runs on the
-  /// solving thread inside the search loop — keep it cheap.
+  /// Invoked with the incumbent makespan: once for the initial incumbent
+  /// and again every time the search improves on it. Runs inside the search
+  /// loop (under a lock when multi-threaded) — keep it cheap.
   std::function<void(double makespan)> on_incumbent;
+};
+
+/// A starting point for a re-solve: `start` is a complete, bag-feasible
+/// schedule of the instance, and only `free_jobs` may change machine.
+struct PartialAssignment {
+  model::Schedule start;
+  std::vector<model::JobId> free_jobs;
 };
 
 struct ExactResult {
@@ -40,18 +63,11 @@ struct ExactResult {
 };
 
 /// Solves to optimality when the budget allows; otherwise returns the best
-/// schedule found with proven_optimal == false.
+/// schedule found with proven_optimal == false. With `partial`, optimality
+/// is over the placements of its free jobs; a start that is not a valid
+/// schedule of the instance, or a free job out of range, throws.
 ExactResult solve_exact(const model::Instance& instance,
-                        const ExactOptions& options = {});
-
-/// ExactOptions::check_interval rounded down to a power of two, as the
-/// corresponding AND-mask over the node counter (interval <= 1 means a
-/// check at every node). Shared by the sequential and parallel engines so
-/// the knob means the same thing in both.
-inline long long check_interval_mask(long long interval) {
-  long long mask = 1;
-  while (mask * 2 <= (interval > 1 ? interval : 1)) mask *= 2;
-  return mask - 1;
-}
+                        const ExactOptions& options = {},
+                        const PartialAssignment* partial = nullptr);
 
 }  // namespace bagsched::sched

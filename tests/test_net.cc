@@ -847,6 +847,8 @@ TEST(NetServerTest, CloseSessionRacingDrainStaysConsistent) {
   // close_session and request_drain land at the same instant, repeatedly:
   // whichever wins, the server must answer something structured (ok or a
   // draining error), drain to completion, and leave no session behind.
+  // The client reads to EOF and closes, so every round ends through the
+  // clean half-close path, far ahead of the drain force-close backstop.
   for (int round = 0; round < 5; ++round) {
     auto config = test_config();
     config.session_linger_seconds = 5.0;  // orphans must not outlive drain
@@ -857,6 +859,7 @@ TEST(NetServerTest, CloseSessionRacingDrainStaysConsistent) {
         quick_request(static_cast<std::uint64_t>(round)), "s");
     ASSERT_TRUE(session.initial.ok());
 
+    const auto started = std::chrono::steady_clock::now();
     std::thread drainer([&server] { server.request_drain(); });
     try {
       client.close_session(session.id, "race");
@@ -864,7 +867,21 @@ TEST(NetServerTest, CloseSessionRacingDrainStaysConsistent) {
       // A draining refusal (or a closed connection) is a legal outcome.
     }
     drainer.join();
+    // The drained server half-closes the idle connection: read whatever
+    // is left up to its EOF, then close, which lets the server finish.
+    try {
+      while (client.connected() && client.read_frame(2.0)) {
+      }
+    } catch (const std::exception&) {
+      // A reset after the half-close is as final as an EOF.
+    }
+    client.close();
     server.wait();
+    const double seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - started)
+                               .count();
+    EXPECT_LT(seconds, 1.0) << "round " << round
+                            << " waited for the force-close backstop";
     EXPECT_EQ(server.service().stats().open_sessions, 0u);
     EXPECT_EQ(server.counters().connections_active, 0u);
   }

@@ -2,7 +2,7 @@
 // generator (fixed-seed determinism, per-step feasibility), delta
 // apply/undo round trips through exact canonical fingerprints, migration
 // cost against a brute-force recount, ScheduleSession's repair pipeline
-// (regret bound, noop/memo paths, infeasible rejection), the service's
+// (regret bound, noop/memo/region paths, infeasible rejection), the service's
 // session routing (FIFO per session, unknown-session errors, close
 // semantics), and the delta JSON round trips.
 #include <gtest/gtest.h>
@@ -357,6 +357,35 @@ TEST(ScheduleSessionTest, MachineFailureMigratesTheStrandedJobs) {
   // Every job of the failed machine had to move.
   EXPECT_GE(result.moved_jobs, stranded);
   EXPECT_EQ(session.instance().num_machines(), 3);
+}
+
+TEST(ScheduleSessionTest, ResizeReachesTheRegionStage) {
+  // Adopted schedule {4, 1} | {1}; the delta grows the 1 next to the 4 into
+  // a 3 (makespan 7, lower bound 4). With polishing off and no regret
+  // allowed, repair misses the bound, and the region stage re-places just
+  // the resized job optimally: onto the other machine, makespan 4.
+  const auto instance = model::Instance::without_bags({4.0, 1.0, 1.0}, 2);
+  model::Schedule committed(3, 2);
+  committed.assign(0, 0);
+  committed.assign(1, 0);
+  committed.assign(2, 1);
+  online::SessionOptions options = quick_session();
+  options.regret_bound = 0.0;
+  options.repair_moves = 0;
+  online::ScheduleSession session(instance, committed, options);
+
+  model::Delta resize;
+  resize.resizes = {{1, 3.0}};
+  const api::SolveResult result = session.apply(resize);
+  ASSERT_TRUE(result.ok()) << result.error;
+  EXPECT_EQ(api::stat_str(result.stats, "online.path"), "region");
+  EXPECT_EQ(session.stats().region_resolves, 1u);
+  EXPECT_EQ(session.makespan(), 4.0);
+  EXPECT_TRUE(result.proven_optimal);
+  EXPECT_EQ(result.moved_jobs, 1);
+  EXPECT_EQ(session.schedule().machine_of(0), 0);
+  EXPECT_EQ(session.schedule().machine_of(1), 1);
+  EXPECT_TRUE(model::validate(session.instance(), session.schedule()).ok());
 }
 
 // --- Service sessions ------------------------------------------------------

@@ -399,6 +399,9 @@ TEST(RecoveryTest, RetryingClientResumesAcrossARestart) {
   }
   EXPECT_EQ(client.revision(), commits.size());
   client.close_session();
+  // Hang up first: a connection left open would hold the drain until its
+  // force-close backstop instead of the clean exit asserted here.
+  client.close();
 
   ::kill(revived.pid, SIGTERM);
   const int drained = revived.wait_status();

@@ -1,5 +1,5 @@
-// Unit tests for the util module: PRNG determinism, exact rationals,
-// epsilon-grid rounding, tables, flat bitsets and the thread pool.
+// Unit tests for the util module: PRNG determinism, epsilon-grid
+// rounding, tables, flat bitsets and the thread pool.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,7 +10,6 @@
 
 #include "util/bitset64.h"
 #include "util/csv.h"
-#include "util/fraction.h"
 #include "util/grid.h"
 #include "util/prng.h"
 #include "util/thread_pool.h"
@@ -19,7 +18,6 @@ namespace bagsched {
 namespace {
 
 using util::EpsGrid;
-using util::Fraction;
 using util::Table;
 using util::ThreadPool;
 using util::Xoshiro256;
@@ -70,39 +68,6 @@ TEST(Prng, ShuffleIsPermutation) {
   rng.shuffle(copy);
   std::sort(copy.begin(), copy.end());
   EXPECT_EQ(copy, values);
-}
-
-TEST(Fraction, BasicArithmetic) {
-  const Fraction half(1, 2);
-  const Fraction third(1, 3);
-  EXPECT_EQ(half + third, Fraction(5, 6));
-  EXPECT_EQ(half - third, Fraction(1, 6));
-  EXPECT_EQ(half * third, Fraction(1, 6));
-  EXPECT_EQ(half / third, Fraction(3, 2));
-}
-
-TEST(Fraction, NormalizesSignAndGcd) {
-  EXPECT_EQ(Fraction(2, 4), Fraction(1, 2));
-  EXPECT_EQ(Fraction(1, -2), Fraction(-1, 2));
-  EXPECT_EQ(Fraction(-3, -6), Fraction(1, 2));
-  EXPECT_EQ(Fraction(0, 5).den(), 1);
-}
-
-TEST(Fraction, Comparisons) {
-  EXPECT_LT(Fraction(1, 3), Fraction(1, 2));
-  EXPECT_GT(Fraction(-1, 3), Fraction(-1, 2));
-  EXPECT_LE(Fraction(2, 4), Fraction(1, 2));
-}
-
-TEST(Fraction, PowExact) {
-  EXPECT_EQ(Fraction::pow(Fraction(1, 2), 3), Fraction(1, 8));
-  EXPECT_EQ(Fraction::pow(Fraction(1, 2), -2), Fraction(4));
-  EXPECT_EQ(Fraction::pow(Fraction(3, 2), 0), Fraction(1));
-}
-
-TEST(Fraction, ZeroDenominatorThrows) {
-  EXPECT_THROW(Fraction(1, 0), std::invalid_argument);
-  EXPECT_THROW(Fraction(1, 2) / Fraction(0, 3), std::invalid_argument);
 }
 
 TEST(EpsGridTest, RoundUpIsOnGridAndAbove) {
