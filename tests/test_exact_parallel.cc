@@ -1,6 +1,8 @@
-// Tests for the parallel work-stealing exact branch-and-bound:
-// sequential-vs-parallel equivalence at every thread count, determinism
-// across thread counts, cancellation mid-search and the api registration.
+// Tests for the threaded branch-and-bound (sched::solve_exact with
+// ExactOptions::num_threads > 1, the `exact-parallel` solver):
+// equivalence with the single-threaded search at every thread count,
+// determinism across thread counts, budgets, cancellation mid-search and
+// the api registration.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -9,9 +11,7 @@
 
 #include "api/api.h"
 #include "gen/generators.h"
-#include "model/lower_bounds.h"
 #include "sched/exact.h"
-#include "sched/exact_parallel.h"
 #include "util/cancellation.h"
 
 namespace bagsched {
@@ -19,28 +19,33 @@ namespace {
 
 using model::Instance;
 
-const std::vector<int> kThreadCounts = {1, 2, 4, 8};
+const std::vector<int> kThreadCounts = {2, 4, 8};
+
+sched::ExactOptions with_threads(int threads) {
+  sched::ExactOptions options;
+  options.num_threads = threads;
+  return options;
+}
 
 TEST(ExactParallelTest, MatchesSequentialOnRandomInstances) {
   for (const char* family : {"twopoint", "uniform", "smallbags"}) {
     for (std::uint64_t seed = 1; seed <= 4; ++seed) {
       const Instance instance = gen::by_name(family, 16, 4, seed);
-      const auto seq = sched::solve_exact(instance);
-      ASSERT_TRUE(seq.proven_optimal) << family << " seed " << seed;
+      const auto single = sched::solve_exact(instance);
+      ASSERT_TRUE(single.proven_optimal) << family << " seed " << seed;
       for (const int threads : kThreadCounts) {
-        sched::ExactParallelOptions options;
-        options.num_threads = threads;
-        const auto par = sched::solve_exact_parallel(instance, options);
-        EXPECT_TRUE(par.proven_optimal)
+        const auto result =
+            sched::solve_exact(instance, with_threads(threads));
+        EXPECT_TRUE(result.proven_optimal)
             << family << " seed " << seed << " threads " << threads;
-        EXPECT_DOUBLE_EQ(par.makespan, seq.makespan)
+        EXPECT_DOUBLE_EQ(result.makespan, single.makespan)
             << family << " seed " << seed << " threads " << threads;
-        EXPECT_TRUE(model::validate(instance, par.schedule).ok());
-        // Node-count sanity: the parallel search explores the same tree
-        // modulo incumbent-arrival races and frontier bookkeeping (zero
-        // when the initial incumbent already met the lower bound).
-        EXPECT_GE(par.nodes, 0);
-        EXPECT_LT(par.nodes, 4 * seq.nodes + 100000)
+        EXPECT_TRUE(model::validate(instance, result.schedule).ok());
+        // The threaded search explores the same tree modulo incumbent-
+        // arrival races and frontier expansion (zero extra when the
+        // initial incumbent already met the lower bound).
+        EXPECT_GE(result.nodes, 0);
+        EXPECT_LT(result.nodes, 4 * single.nodes + 100000)
             << family << " seed " << seed << " threads " << threads;
       }
     }
@@ -57,13 +62,12 @@ TEST(ExactParallelTest, MatchesPlantedOptimum) {
     params.seed = seed;
     const auto planted = gen::planted(params);
     for (const int threads : kThreadCounts) {
-      sched::ExactParallelOptions options;
-      options.num_threads = threads;
       const auto result =
-          sched::solve_exact_parallel(planted.instance, options);
+          sched::solve_exact(planted.instance, with_threads(threads));
       ASSERT_TRUE(result.proven_optimal)
           << "seed " << seed << " threads " << threads;
-      EXPECT_NEAR(result.makespan, planted.opt, 1e-9);
+      EXPECT_NEAR(result.makespan, planted.opt, 1e-9)
+          << "seed " << seed << " threads " << threads;
       EXPECT_TRUE(model::validate(planted.instance, result.schedule).ok());
     }
   }
@@ -74,18 +78,13 @@ TEST(ExactParallelTest, BitIdenticalAcrossThreadCounts) {
   // proven_optimal are identical regardless of thread count.
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     const Instance instance = gen::by_name("twopoint", 18, 4, seed);
-    double reference = -1.0;
+    const auto reference = sched::solve_exact(instance);
+    ASSERT_TRUE(reference.proven_optimal);
     for (const int threads : kThreadCounts) {
-      sched::ExactParallelOptions options;
-      options.num_threads = threads;
-      const auto result = sched::solve_exact_parallel(instance, options);
+      const auto result = sched::solve_exact(instance, with_threads(threads));
       ASSERT_TRUE(result.proven_optimal);
-      if (reference < 0.0) {
-        reference = result.makespan;
-      } else {
-        EXPECT_EQ(result.makespan, reference)
-            << "seed " << seed << " threads " << threads;
-      }
+      EXPECT_EQ(result.makespan, reference.makespan)
+          << "seed " << seed << " threads " << threads;
     }
   }
 }
@@ -93,12 +92,11 @@ TEST(ExactParallelTest, BitIdenticalAcrossThreadCounts) {
 TEST(ExactParallelTest, BudgetExhaustionStillFeasible) {
   const Instance instance = gen::by_name("uniform", 40, 6, 3);
   for (const int threads : kThreadCounts) {
-    sched::ExactParallelOptions options;
-    options.num_threads = threads;
-    options.base.max_nodes = 5000;
-    const auto result = sched::solve_exact_parallel(instance, options);
-    EXPECT_FALSE(result.proven_optimal);
-    EXPECT_FALSE(result.cancelled);
+    sched::ExactOptions options = with_threads(threads);
+    options.max_nodes = 5000;  // far too little to prove optimality
+    const auto result = sched::solve_exact(instance, options);
+    EXPECT_FALSE(result.proven_optimal) << "threads " << threads;
+    EXPECT_FALSE(result.cancelled) << "threads " << threads;
     EXPECT_TRUE(model::validate(instance, result.schedule).ok());
     EXPECT_GT(result.makespan, 0.0);
   }
@@ -109,37 +107,19 @@ TEST(ExactParallelTest, CleanCancellationMidSearch) {
   const Instance instance = gen::by_name("uniform", 42, 6, 7);
   for (const int threads : kThreadCounts) {
     util::CancellationToken token;
-    sched::ExactParallelOptions options;
-    options.num_threads = threads;
-    options.base.time_limit_seconds = 30.0;
-    options.base.check_interval = 256;  // react quickly
-    options.base.cancel = &token;
+    sched::ExactOptions options = with_threads(threads);
+    options.time_limit_seconds = 30.0;
+    options.cancel = &token;
     std::thread firer([&token] {
       std::this_thread::sleep_for(std::chrono::milliseconds(30));
       token.request_stop();
     });
-    const auto result = sched::solve_exact_parallel(instance, options);
+    const auto result = sched::solve_exact(instance, options);
     firer.join();
     EXPECT_FALSE(result.proven_optimal) << "threads " << threads;
     EXPECT_TRUE(result.cancelled) << "threads " << threads;
     // The best incumbent found before the stop is still returned.
     EXPECT_TRUE(model::validate(instance, result.schedule).ok());
-  }
-}
-
-TEST(ExactParallelTest, CheckIntervalKnobAcceptsAnyValue) {
-  const Instance instance = gen::by_name("twopoint", 12, 3, 1);
-  for (const long long interval : {1LL, 3LL, 1024LL, 1LL << 40}) {
-    sched::ExactOptions sequential;
-    sequential.check_interval = interval;
-    const auto seq = sched::solve_exact(instance, sequential);
-    EXPECT_TRUE(seq.proven_optimal) << "interval " << interval;
-    sched::ExactParallelOptions parallel;
-    parallel.base.check_interval = interval;
-    parallel.num_threads = 2;
-    const auto par = sched::solve_exact_parallel(instance, parallel);
-    EXPECT_TRUE(par.proven_optimal) << "interval " << interval;
-    EXPECT_DOUBLE_EQ(par.makespan, seq.makespan);
   }
 }
 
