@@ -93,7 +93,7 @@ ReplayOutcome replay(const gen::ChurnTrace& trace,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Harness harness("delta", &argc, argv);
+  bench::Harness harness("delta", argc, argv);
   const int reps = harness.reps(3);
 
   std::vector<Spec> specs(3);

@@ -55,7 +55,7 @@ eptas::EptasConfig config_of(const Spec& spec, bool warm, int threads) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Harness harness("eptas", &argc, argv);
+  bench::Harness harness("eptas", argc, argv);
   const int reps = harness.reps(3);
 
   const std::vector<Spec> specs = {

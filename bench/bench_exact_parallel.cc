@@ -39,7 +39,7 @@ std::string label_of(const Spec& spec) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Harness harness("exact", &argc, argv);
+  bench::Harness harness("exact", argc, argv);
   const int reps = harness.reps(3);
 
   const std::vector<Spec> specs = {

@@ -1,15 +1,13 @@
 // E8 (Lemma 6): cost of the MILP stage. The paper bounds the solve time by
 // a function of the number of integral variables; in the column-generated
 // implementation that maps to columns (patterns) and branch-and-bound
-// nodes. The table reports both across instance shapes, plus raw
-// LP/MILP-substrate timings.
+// nodes. The table reports both across instance shapes, with the master
+// solve time.
 //
 // The harness section measures whole-problem assignment-MILP node
 // throughput (nodes/second through the zero-copy B&B with warm-started
 // LPs) and writes BENCH_milp.json for regression tracking
 // (--bench-json / --bench-reps, see harness.h).
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 #include <string>
 
@@ -19,11 +17,7 @@
 #include "eptas/transform.h"
 #include "gen/generators.h"
 #include "harness.h"
-#include "lp/simplex.h"
-#include "milp/branch_and_bound.h"
-#include "model/lower_bounds.h"
 #include "util/csv.h"
-#include "util/prng.h"
 #include "util/stopwatch.h"
 
 namespace {
@@ -86,64 +80,6 @@ void print_master_table() {
                "cap (the practical analogue of z integral variables)\n\n";
 }
 
-void BM_SimplexDense(benchmark::State& state) {
-  // Random dense LP of the given size.
-  const int n = static_cast<int>(state.range(0));
-  bagsched::util::Xoshiro256 rng(42);
-  bagsched::lp::Model model;
-  for (int i = 0; i < n; ++i) {
-    model.add_variable(rng.uniform_real(0.5, 2.0), 0.0, 5.0);
-  }
-  for (int r = 0; r < n; ++r) {
-    std::vector<std::pair<int, double>> terms;
-    for (int i = 0; i < n; ++i) {
-      terms.emplace_back(i, rng.uniform_real(0.0, 1.0));
-    }
-    model.add_constraint(std::move(terms),
-                         bagsched::lp::Sense::LessEqual,
-                         rng.uniform_real(2.0, 8.0));
-  }
-  for (auto _ : state) {
-    auto result = bagsched::lp::solve(model);
-    benchmark::DoNotOptimize(result.objective);
-  }
-}
-BENCHMARK(BM_SimplexDense)->Arg(20)->Arg(60)->Arg(120)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_MasterSolve(benchmark::State& state) {
-  const auto planted =
-      gen::planted({.num_machines = static_cast<int>(state.range(0)),
-                    .num_bags = static_cast<int>(3 * state.range(0)),
-                    .min_jobs_per_machine = 3,
-                    .max_jobs_per_machine = 6,
-                    .target = 1.0,
-                    .seed = 5});
-  const double guess = 1.05;
-  std::vector<double> sizes;
-  std::vector<bagsched::model::BagId> bags;
-  for (const auto& job : planted.instance.jobs()) {
-    sizes.push_back(job.size / guess);
-    bags.push_back(job.bag);
-  }
-  const Instance scaled = Instance::from_vectors(
-      sizes, bags, planted.instance.num_machines());
-  const eptas::EptasConfig config;
-  const auto cls = eptas::classify(scaled, 0.5, config);
-  if (!cls) {
-    state.SkipWithError("classification failed");
-    return;
-  }
-  const auto transformed = eptas::transform(scaled, *cls);
-  const auto space = eptas::build_pattern_space(transformed, *cls);
-  for (auto _ : state) {
-    auto master = eptas::solve_master(space, transformed, *cls, config);
-    benchmark::DoNotOptimize(master);
-  }
-}
-BENCHMARK(BM_MasterSolve)->Arg(6)->Arg(12)->Arg(24)
-    ->Unit(benchmark::kMillisecond);
-
 /// Assignment-MILP node throughput on the standard instance set, via the
 /// registered "milp" solver (which builds the x_ji model).
 void run_harness_cases(bagsched::bench::Harness& harness) {
@@ -193,11 +129,8 @@ void run_harness_cases(bagsched::bench::Harness& harness) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bagsched::bench::Harness harness("milp", &argc, argv);
+  bagsched::bench::Harness harness("milp", argc, argv);
   print_master_table();
   run_harness_cases(harness);
-  if (!harness.finish(std::cout)) return 1;
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return harness.finish(std::cout) ? 0 : 1;
 }

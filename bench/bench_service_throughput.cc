@@ -15,8 +15,6 @@
 // cache (>= 2x reqs/sec with 50% duplicates).
 //
 // Flags: --bench-json[=path] --bench-reps=N (see harness.h).
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <iostream>
 #include <memory>
@@ -215,44 +213,11 @@ void run_cache_cases(bench::Harness& harness, int reps) {
             << "speedup:   " << speedup << "x (acceptance: >= 2x)\n";
 }
 
-/// Microbenchmark: one submit+wait round trip through the service (queue,
-/// dispatch, solve, resolve) at a given thread count.
-void BM_ServiceSubmitWait(benchmark::State& state) {
-  api::SchedulingService service(
-      {.num_threads = static_cast<std::size_t>(state.range(0))});
-  const auto instance = std::make_shared<const bagsched::model::Instance>(
-      gen::by_name("uniform", 60, 8, 1));
-  for (auto _ : state) {
-    auto handle =
-        service.submit(api::make_request(instance, {}, {"greedy-bags"}));
-    benchmark::DoNotOptimize(handle.wait().makespan);
-  }
-}
-BENCHMARK(BM_ServiceSubmitWait)->Arg(1)->Arg(4)
-    ->Unit(benchmark::kMicrosecond);
-
-/// Microbenchmark: batched fan-out of `depth` requests over 4 threads.
-void BM_ServiceBatch(benchmark::State& state) {
-  api::SchedulingService service({.num_threads = 4});
-  const auto instances =
-      make_workload(static_cast<int>(state.range(0)), 60);
-  for (auto _ : state) {
-    const auto [wall, solver_seconds] =
-        run_batch(service, instances, "greedy-bags");
-    benchmark::DoNotOptimize(wall + solver_seconds);
-  }
-  state.counters["depth"] = static_cast<double>(state.range(0));
-}
-BENCHMARK(BM_ServiceBatch)->Arg(8)->Arg(64)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Harness harness("service", &argc, argv);
+  bench::Harness harness("service", argc, argv);
   print_throughput_table();
   run_cache_cases(harness, harness.reps(3));
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return harness.finish(std::cout) ? 0 : 1;
 }

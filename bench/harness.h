@@ -4,14 +4,14 @@
 // median (plus min/max) and writes a machine-readable JSON file so CI and
 // future PRs have a performance trajectory to diff against:
 //
-//   bagsched::bench::Harness harness("exact", &argc, argv);
+//   bagsched::bench::Harness harness("exact", argc, argv);
 //   auto& c = harness.run_case("twopoint-26x4/seq", harness.reps(5),
 //                              [&] { run_the_thing(); });
 //   c.metrics.set("nodes", nodes);
 //   return harness.finish(std::cout) ? 0 : 1;
 //
-// Command-line flags (consumed from argv so they never reach
-// benchmark::Initialize):
+// Command-line flags (any other argument is an error, exit 2, so a typo
+// such as --bench-rep=1 cannot run silently at the default repetitions):
 //   --bench-json[=path]   write BENCH_<name>.json (or the given path)
 //   --bench-reps=N        override every case's repetition count (CI smoke
 //                         runs use N=1)
@@ -40,8 +40,8 @@ struct CaseResult {
 
 class Harness {
  public:
-  /// Parses and removes the --bench-* flags from argc/argv.
-  Harness(std::string name, int* argc, char** argv);
+  /// Parses the --bench-* flags; exits 2 on any other argument.
+  Harness(std::string name, int argc, char** argv);
 
   const std::string& name() const { return name_; }
   bool json_requested() const { return json_requested_; }

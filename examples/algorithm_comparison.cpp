@@ -3,8 +3,8 @@
 //   $ ./algorithm_comparison [n] [m] [seeds]
 //
 // Runs every bag-respecting solver in the registry over every generator
-// family and prints one ratio table — a miniature of the E9 benchmark that
-// users can point at their own parameters.
+// family and prints one ratio table — experiment E9, the baseline
+// comparison, at parameters users can choose.
 #include <cstdlib>
 #include <iostream>
 

@@ -14,17 +14,12 @@ namespace {
 
 /// A finished result that certifies (near-)optimality: further search
 /// cannot beat it meaningfully, so the stragglers get cancelled.
-bool is_certificate(const Solver& solver, const SolveResult& result,
-                    const PortfolioOptions& options) {
+bool is_certificate(const Solver& solver, const SolveResult& result) {
   if (!result.ok() || !result.schedule_feasible) return false;
   if (result.proven_optimal) return true;
-  if (options.eptas_certificate &&
-      solver.info().guarantee == Guarantee::Eptas &&
-      stat_bool(result.stats, "pipeline_succeeded") &&
-      !stat_bool(result.stats, "used_fallback")) {
-    return true;
-  }
-  return false;
+  return solver.info().guarantee == Guarantee::Eptas &&
+         stat_bool(result.stats, "pipeline_succeeded") &&
+         !stat_bool(result.stats, "used_fallback");
 }
 
 /// Result rank for the best-fold: completed feasible schedules beat
@@ -86,13 +81,9 @@ PortfolioResult Portfolio::solve(const model::Instance& instance,
   // external cancellation both reach every member through one pointer.
   util::CancellationToken shared_cancel(options.cancel);
 
-  const std::size_t threads =
-      portfolio_options_.num_threads != 0
-          ? portfolio_options_.num_threads
-          : std::min<std::size_t>(
-                solvers_.size(),
-                std::max<std::size_t>(
-                    1, std::thread::hardware_concurrency()));
+  const std::size_t threads = std::min<std::size_t>(
+      solvers_.size(),
+      std::max<std::size_t>(1, std::thread::hardware_concurrency()));
   SchedulingService service(
       {.num_threads = threads, .max_concurrent = threads});
 
@@ -107,13 +98,11 @@ PortfolioResult Portfolio::solve(const model::Instance& instance,
     SolveRequest request = make_request(shared_instance, options, {name});
     request.options.cancel = &shared_cancel;
     if (portfolio_options_.cancel_on_certificate) {
-      request.on_progress = [this, &shared_cancel](
-                                const ProgressEvent& event) {
+      request.on_progress = [&shared_cancel](const ProgressEvent& event) {
         if (event.kind != ProgressKind::Finished) return;
         const Solver* solver =
             SolverRegistry::global().find(event.solver);
-        if (solver != nullptr &&
-            is_certificate(*solver, *event.result, portfolio_options_)) {
+        if (solver != nullptr && is_certificate(*solver, *event.result)) {
           shared_cancel.request_stop();
         }
       };

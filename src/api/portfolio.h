@@ -9,7 +9,9 @@
 //
 // Certificates that trigger cancellation of the remaining solvers:
 //   * a solver proves optimality (exact / MILP, or makespan == lower bound);
-//   * the EPTAS pipeline certifies, so the result is within (1+O(eps))*OPT.
+//   * the EPTAS pipeline certifies, so the result is within (1+O(eps))*OPT
+//     (a fallback result carries no (1+eps) guarantee and does not count).
+// The members run on one worker thread each, capped by the hardware.
 // Cancellation is cooperative: the losers observe the shared token inside
 // their hot loops and return their best incumbent so far.
 #pragma once
@@ -23,13 +25,8 @@
 namespace bagsched::api {
 
 struct PortfolioOptions {
-  /// Worker threads; 0 = one per portfolio member (capped by hardware).
-  std::size_t num_threads = 0;
   /// Cancel the remaining solvers once a certificate is in hand.
   bool cancel_on_certificate = true;
-  /// An EPTAS result counts as a certificate only when its pipeline
-  /// succeeded (fallback results carry no (1+eps) guarantee).
-  bool eptas_certificate = true;
 };
 
 struct PortfolioResult {

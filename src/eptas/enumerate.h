@@ -7,7 +7,7 @@
 //  * fidelity: the published program, runnable and testable;
 //  * cross-check: on instances where both run, the enumerated MILP and the
 //    column-generated master (milp_model.h) must agree on feasibility;
-//  * measurement: bench_enumerated quantifies the blow-up the practical
+//  * measurement: bench_paper's E10 quantifies the blow-up the practical
 //    profile avoids.
 //
 // Enable it end-to-end with EptasConfig::use_enumerated_milp.

@@ -15,7 +15,7 @@ model::Schedule greedy_bags(const model::Instance& instance);
 
 /// Variant that seeds the greedy pass with large jobs packed first-fit onto
 /// the fewest machines (the pathological placement of the paper's Figure 1).
-/// Used by bench_fig1 to demonstrate why large-job placement must be global.
+/// bench_paper's E3 uses it to show why large-job placement must be global.
 model::Schedule greedy_stack_large_first(const model::Instance& instance,
                                          double large_threshold);
 

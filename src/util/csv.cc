@@ -1,10 +1,9 @@
 #include "util/csv.h"
 
-#include <fstream>
+#include <algorithm>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
-#include <stdexcept>
 
 namespace bagsched::util {
 
@@ -29,18 +28,6 @@ Table& Table::add(double value, int precision) {
 
 Table& Table::add(long long value) { return add(std::to_string(value)); }
 
-void Table::write_csv(std::ostream& os) const {
-  auto emit = [&os](const std::vector<std::string>& cells) {
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      if (i) os << ',';
-      os << cells[i];
-    }
-    os << '\n';
-  };
-  emit(header_);
-  for (const auto& row : rows_) emit(row);
-}
-
 void Table::write_aligned(std::ostream& os) const {
   std::vector<std::size_t> widths(header_.size(), 0);
   auto widen = [&widths](const std::vector<std::string>& cells) {
@@ -60,12 +47,6 @@ void Table::write_aligned(std::ostream& os) const {
   };
   emit(header_);
   for (const auto& row : rows_) emit(row);
-}
-
-void Table::save_csv(const std::string& path) const {
-  std::ofstream file(path);
-  if (!file) throw std::runtime_error("Table::save_csv: cannot open " + path);
-  write_csv(file);
 }
 
 }  // namespace bagsched::util

@@ -1,5 +1,5 @@
-// CSV / aligned-table writer used by the benchmark harness to emit the rows
-// and series that EXPERIMENTS.md records.
+// Aligned-table writer for the human-readable tables the benches and
+// examples print.
 #pragma once
 
 #include <iosfwd>
@@ -23,16 +23,8 @@ class Table {
     return add(static_cast<long long>(value));
   }
 
-  std::size_t num_rows() const { return rows_.size(); }
-  const std::vector<std::string>& header() const { return header_; }
-  const std::vector<std::vector<std::string>>& rows() const { return rows_; }
-
-  /// Writes comma-separated values (machine-readable).
-  void write_csv(std::ostream& os) const;
   /// Writes a column-aligned table (human-readable, what the benches print).
   void write_aligned(std::ostream& os) const;
-  /// Saves CSV to a path, creating/truncating the file.
-  void save_csv(const std::string& path) const;
 
  private:
   std::vector<std::string> header_;
