@@ -472,7 +472,7 @@ int cmd_metrics(std::vector<std::string>& args) {
       "bagsched_server_sessions_orphaned",
       "bagsched_server_orphans_expired",
       "bagsched_server_recovering_rejects",
-      "bagsched_server_sessions_recovered",
+      "bagsched_service_sessions_restored",
   };
   std::istringstream lines(body);
   std::string line;

@@ -278,16 +278,12 @@ class SchedulingService {
                      cache::CacheKeyHash>
       inflight_;
   bool stopping_ = false;
-  std::uint64_t submitted_ = 0;
-  std::uint64_t rejected_ = 0;
-  std::uint64_t finished_ = 0;
-  // Guarded by mutex_ (like the fields above) so stats() is one coherent
-  // cut; bumped where the owning request settles under the lock, not at
-  // the lock-free lookup sites.
-  std::uint64_t cache_hits_ = 0;
-  std::uint64_t cache_rounded_hits_ = 0;
-  std::uint64_t dedup_shared_ = 0;
-  double queue_wait_ewma_ = 0.0;
+  /// Every counter of stats() except its three gauges (queue_depth,
+  /// active, open_sessions), which stats() reads off the live state.
+  /// Guarded by mutex_ (like the fields above) so stats() is one coherent
+  /// cut; bumped where the owning request settles under the lock, not at
+  /// the lock-free lookup sites.
+  Stats stats_;
   std::atomic<std::uint64_t> next_id_{0};
 
   /// Open sessions by id; entries outlive close_session until their FIFO
@@ -297,13 +293,6 @@ class SchedulingService {
       sessions_;
   std::uint64_t next_session_id_ = 0;
   std::size_t session_ops_active_ = 0;  ///< ops on the pool right now
-  std::uint64_t sessions_opened_ = 0;
-  std::uint64_t sessions_closed_ = 0;
-  std::uint64_t session_deltas_ = 0;
-  std::uint64_t session_repaired_ = 0;
-  std::uint64_t session_fresh_ = 0;
-  std::uint64_t sessions_restored_ = 0;
-  std::uint64_t session_duplicates_ = 0;
   /// Per-boot random nonce mixed into every session epoch, so epochs from
   /// a previous boot never validate against recycled session ids.
   std::uint64_t boot_nonce_ = 0;

@@ -199,6 +199,16 @@ std::uint64_t epoch_from_json(const util::Json& value) {
   return static_cast<std::uint64_t>(value.as_int());
 }
 
+/// A session frame of `type` under `id`, stamped with this build's
+/// protocol version.
+util::Json session_frame(const char* type, const std::string& id) {
+  util::Json frame = util::Json::object();
+  frame.set("type", type);
+  frame.set("id", id);
+  frame.set("proto_version", static_cast<long long>(kProtoVersion));
+  return frame;
+}
+
 }  // namespace
 
 Client::Client(Client&& other) noexcept
@@ -339,35 +349,17 @@ Client::Session Client::open_session(const api::SolveRequest& request,
                                      const std::string& id,
                                      double regret_bound, bool want_schedule,
                                      double read_timeout_seconds) {
-  util::Json frame = util::Json::object();
-  frame.set("type", "open_session");
-  frame.set("id", id);
-  frame.set("proto_version", static_cast<long long>(kProtoVersion));
+  util::Json frame = session_frame("open_session", id);
   frame.set("request", api::to_json(request));
   if (regret_bound >= 0.0) frame.set("regret_bound", regret_bound);
   if (!want_schedule) frame.set("schedule", false);
   send_line(frame.dump());
-  Session session;
   // The ok frame (with the session id) precedes the initial solve's events.
-  for (;;) {
-    auto reply = read_frame(read_timeout_seconds);
-    if (!reply.has_value()) {
-      throw ConnectionError(
-          "server closed the connection before the session opened");
-    }
-    const std::string type = reply->string_or("type", "");
-    if (type == "error" && reply->string_or("id", "") == id) {
-      throw std::runtime_error(reply->string_or("code", "") + ": " +
-                               reply->string_or("message", ""));
-    }
-    if (type == "ok" && reply->string_or("op", "") == "open_session" &&
-        reply->string_or("id", "") == id) {
-      session.id = static_cast<std::uint64_t>(reply->at("session").as_int());
-      if (const util::Json* epoch = reply->find("epoch")) {
-        session.epoch = epoch_from_json(*epoch);
-      }
-      break;
-    }
+  const util::Json ok = await_ok("open_session", id, read_timeout_seconds);
+  Session session;
+  session.id = static_cast<std::uint64_t>(ok.at("session").as_int());
+  if (const util::Json* epoch = ok.find("epoch")) {
+    session.epoch = epoch_from_json(*epoch);
   }
   session.initial = await_result(id, {}, read_timeout_seconds);
   return session;
@@ -377,38 +369,19 @@ Client::Resumed Client::resume_session(std::uint64_t session,
                                        std::uint64_t epoch,
                                        const std::string& id,
                                        double read_timeout_seconds) {
-  util::Json frame = util::Json::object();
-  frame.set("type", "resume_session");
-  frame.set("id", id);
-  frame.set("proto_version", static_cast<long long>(kProtoVersion));
+  util::Json frame = session_frame("resume_session", id);
   frame.set("session", session);
   frame.set("epoch", std::to_string(epoch));
   send_line(frame.dump());
-  for (;;) {
-    auto reply = read_frame(read_timeout_seconds);
-    if (!reply.has_value()) {
-      throw ConnectionError(
-          "server closed the connection before the resume was acknowledged");
-    }
-    const std::string type = reply->string_or("type", "");
-    if (type == "error" && reply->string_or("id", "") == id) {
-      throw std::runtime_error(reply->string_or("code", "") + ": " +
-                               reply->string_or("message", ""));
-    }
-    if (type == "ok" && reply->string_or("op", "") == "resume_session" &&
-        reply->string_or("id", "") == id) {
-      Resumed resumed;
-      resumed.session =
-          static_cast<std::uint64_t>(reply->at("session").as_int());
-      if (const util::Json* token = reply->find("epoch")) {
-        resumed.epoch = epoch_from_json(*token);
-      }
-      resumed.revision = static_cast<std::uint64_t>(
-          reply->find("revision") ? reply->at("revision").as_int() : 0);
-      resumed.digest = reply->string_or("digest", "");
-      return resumed;
-    }
+  const util::Json ok = await_ok("resume_session", id, read_timeout_seconds);
+  Resumed resumed;
+  resumed.session = static_cast<std::uint64_t>(ok.at("session").as_int());
+  if (const util::Json* token = ok.find("epoch")) {
+    resumed.epoch = epoch_from_json(*token);
   }
+  resumed.revision = static_cast<std::uint64_t>(ok.int_or("revision", 0));
+  resumed.digest = ok.string_or("digest", "");
+  return resumed;
 }
 
 api::SolveResult Client::delta(std::uint64_t session,
@@ -416,10 +389,7 @@ api::SolveResult Client::delta(std::uint64_t session,
                                const std::string& id, bool want_schedule,
                                double read_timeout_seconds,
                                std::optional<std::uint64_t> expect_revision) {
-  util::Json frame = util::Json::object();
-  frame.set("type", "delta");
-  frame.set("id", id);
-  frame.set("proto_version", static_cast<long long>(kProtoVersion));
+  util::Json frame = session_frame("delta", id);
   frame.set("session", session);
   frame.set("delta", api::to_json(delta));
   if (expect_revision.has_value()) {
@@ -432,28 +402,10 @@ api::SolveResult Client::delta(std::uint64_t session,
 
 void Client::close_session(std::uint64_t session, const std::string& id,
                            double read_timeout_seconds) {
-  util::Json frame = util::Json::object();
-  frame.set("type", "close_session");
-  frame.set("id", id);
-  frame.set("proto_version", static_cast<long long>(kProtoVersion));
+  util::Json frame = session_frame("close_session", id);
   frame.set("session", session);
   send_line(frame.dump());
-  for (;;) {
-    auto reply = read_frame(read_timeout_seconds);
-    if (!reply.has_value()) {
-      throw ConnectionError(
-          "server closed the connection before the close was acknowledged");
-    }
-    const std::string type = reply->string_or("type", "");
-    if (type == "error" && reply->string_or("id", "") == id) {
-      throw std::runtime_error(reply->string_or("code", "") + ": " +
-                               reply->string_or("message", ""));
-    }
-    if (type == "ok" && reply->string_or("op", "") == "close_session" &&
-        reply->string_or("id", "") == id) {
-      return;
-    }
-  }
+  await_ok("close_session", id, read_timeout_seconds);
 }
 
 api::SolveResult Client::solve(const api::SolveRequest& request,
@@ -516,6 +468,26 @@ api::SolveResult Client::await_result(const std::string& id,
   }
 }
 
+util::Json Client::await_ok(const std::string& op, const std::string& id,
+                            double read_timeout_seconds) {
+  for (;;) {
+    auto reply = read_frame(read_timeout_seconds);
+    if (!reply.has_value()) {
+      throw ConnectionError("server closed the connection before " + op +
+                            " was acknowledged");
+    }
+    const std::string type = reply->string_or("type", "");
+    if (type == "error" && reply->string_or("id", "") == id) {
+      throw std::runtime_error(reply->string_or("code", "") + ": " +
+                               reply->string_or("message", ""));
+    }
+    if (type == "ok" && reply->string_or("op", "") == op &&
+        reply->string_or("id", "") == id) {
+      return *reply;
+    }
+  }
+}
+
 util::Json Client::stats() {
   util::Json frame = util::Json::object();
   frame.set("type", "stats");
@@ -555,49 +527,43 @@ void RetryingClient::backoff(int attempt, const std::string& id) {
   }
 }
 
-api::SolveResult RetryingClient::solve(const api::SolveRequest& request,
-                                       const std::string& id,
-                                       bool want_progress,
-                                       const api::ProgressFn& on_progress,
-                                       bool want_schedule) {
+void RetryingClient::retry(const std::string& id, bool claim,
+                           const std::function<void()>& send) {
   for (int attempt = 1;; ++attempt) {
     ++stats_.attempts;
-    bool submitted = false;
+    bool sent = false;
+    // A transport failure leaves the connection in an unknown mid-frame
+    // state: start clean (the server parks the session until a resume on
+    // the next connection claims it). Returns whether the failure
+    // propagates instead of being retried.
+    const auto give_up = [&] {
+      client_.close();
+      session_claimed_ = false;
+      return attempt >= policy_.max_attempts || (sent && !policy_.resubmit);
+    };
     try {
       if (!client_.connected()) {
-        client_ = Client::connect(host_, port_,
-                                  policy_.connect_timeout_seconds);
-        if (attempt > 1) ++stats_.reconnects;
+        client_ =
+            Client::connect(host_, port_, policy_.connect_timeout_seconds);
+        if (attempt > 1 || session_ != 0) ++stats_.reconnects;
       }
+      if (claim) claim_session(id);
       if (attempt > 1) ++stats_.resubmits;
-      submitted = true;  // submit is the first thing solve() does
-      api::SolveResult result =
-          client_.solve(request, id, want_progress, on_progress,
-                        want_schedule, policy_.read_timeout_seconds);
+      sent = true;
+      send();
       if (attempt > 1) ++stats_.recovered;
-      return result;
+      return;
     } catch (const TimedOut&) {
       ++stats_.timeouts;
-      client_.close();  // mid-frame state is unknown; start clean
-      if (attempt >= policy_.max_attempts) throw;
-      if (submitted && !policy_.resubmit) throw;
+      if (give_up()) throw;
     } catch (const ConnectionError&) {
-      client_.close();
-      if (attempt >= policy_.max_attempts) throw;
-      if (submitted && !policy_.resubmit) throw;
+      if (give_up()) throw;
     }
-    if (attempt == 1) --stats_.resubmits;  // never counted a first submit
     backoff(attempt, id);
   }
 }
 
-void RetryingClient::ensure_session(const std::string& id) {
-  if (!client_.connected()) {
-    const bool reconnect = session_ != 0;
-    client_ =
-        Client::connect(host_, port_, policy_.connect_timeout_seconds);
-    if (reconnect) ++stats_.reconnects;
-  }
+void RetryingClient::claim_session(const std::string& id) {
   if (session_ == 0 || session_claimed_) return;
   try {
     const Client::Resumed resumed = client_.resume_session(
@@ -613,55 +579,48 @@ void RetryingClient::ensure_session(const std::string& id) {
     // A structured refusal (unknown_session / stale_epoch / session_owned):
     // the server genuinely lost the session, so stop tracking it — further
     // deltas must fail loudly instead of retrying forever.
-    session_ = 0;
-    epoch_ = 0;
-    session_claimed_ = false;
+    forget_session();
     throw;
   }
+}
+
+void RetryingClient::forget_session() {
+  session_ = 0;
+  epoch_ = 0;
+  revision_ = 0;
+  session_claimed_ = false;
+}
+
+api::SolveResult RetryingClient::solve(const api::SolveRequest& request,
+                                       const std::string& id,
+                                       bool want_progress,
+                                       const api::ProgressFn& on_progress,
+                                       bool want_schedule) {
+  api::SolveResult result;
+  retry(id, /*claim=*/false, [&] {
+    result = client_.solve(request, id, want_progress, on_progress,
+                           want_schedule, policy_.read_timeout_seconds);
+  });
+  return result;
 }
 
 Client::Session RetryingClient::open_session(const api::SolveRequest& request,
                                              const std::string& id,
                                              double regret_bound,
                                              bool want_schedule) {
-  for (int attempt = 1;; ++attempt) {
-    ++stats_.attempts;
-    bool submitted = false;
-    try {
-      if (!client_.connected()) {
-        client_ =
-            Client::connect(host_, port_, policy_.connect_timeout_seconds);
-        if (attempt > 1) ++stats_.reconnects;
-      }
-      if (attempt > 1) ++stats_.resubmits;
-      submitted = true;
-      Client::Session opened =
-          client_.open_session(request, id, regret_bound, want_schedule,
-                               policy_.read_timeout_seconds);
-      // A previous attempt may have opened a session whose ok was lost;
-      // that orphan expires via the server's linger window. Track the one
-      // whose acknowledgement we actually hold.
-      session_ = opened.id;
-      epoch_ = opened.epoch;
-      revision_ = 0;
-      session_claimed_ = true;
-      if (attempt > 1) ++stats_.recovered;
-      return opened;
-    } catch (const TimedOut&) {
-      ++stats_.timeouts;
-      client_.close();
-      session_claimed_ = false;
-      if (attempt >= policy_.max_attempts) throw;
-      if (submitted && !policy_.resubmit) throw;
-    } catch (const ConnectionError&) {
-      client_.close();
-      session_claimed_ = false;
-      if (attempt >= policy_.max_attempts) throw;
-      if (submitted && !policy_.resubmit) throw;
-    }
-    if (attempt == 1) --stats_.resubmits;  // never counted a first submit
-    backoff(attempt, id);
-  }
+  Client::Session opened;
+  retry(id, /*claim=*/false, [&] {
+    opened = client_.open_session(request, id, regret_bound, want_schedule,
+                                  policy_.read_timeout_seconds);
+  });
+  // A previous attempt may have opened a session whose ok was lost; that
+  // orphan expires via the server's linger window. Track the one whose
+  // acknowledgement we actually hold.
+  session_ = opened.id;
+  epoch_ = opened.epoch;
+  revision_ = 0;
+  session_claimed_ = true;
+  return opened;
 }
 
 api::SolveResult RetryingClient::delta(const model::Delta& delta,
@@ -676,64 +635,31 @@ api::SolveResult RetryingClient::delta(const model::Delta& delta,
   // actually committed — resending with the pinned token then hits the
   // server's commit cache instead of applying twice.
   const std::uint64_t expect = revision_;
-  for (int attempt = 1;; ++attempt) {
-    ++stats_.attempts;
-    try {
-      ensure_session(id);
-      if (attempt > 1) ++stats_.resubmits;
-      api::SolveResult result =
-          client_.delta(session_, delta, id, want_schedule,
-                        policy_.read_timeout_seconds, expect);
-      if (api::stat_bool(result.stats, "online.duplicate")) {
-        ++stats_.duplicate_acks;
-      }
-      revision_ = static_cast<std::uint64_t>(
-          api::stat_int(result.stats, "online.revision",
-                        static_cast<long long>(revision_)));
-      if (attempt > 1) ++stats_.recovered;
-      return result;
-    } catch (const TimedOut&) {
-      ++stats_.timeouts;
-      client_.close();
-      session_claimed_ = false;
-      if (attempt >= policy_.max_attempts) throw;
-      if (!policy_.resubmit) throw;
-    } catch (const ConnectionError&) {
-      client_.close();
-      session_claimed_ = false;
-      if (attempt >= policy_.max_attempts) throw;
-      if (!policy_.resubmit) throw;
-    }
-    if (attempt == 1) --stats_.resubmits;
-    backoff(attempt, id);
+  api::SolveResult result;
+  retry(id, /*claim=*/true, [&] {
+    result = client_.delta(session_, delta, id, want_schedule,
+                           policy_.read_timeout_seconds, expect);
+  });
+  if (api::stat_bool(result.stats, "online.duplicate")) {
+    ++stats_.duplicate_acks;
   }
+  revision_ = static_cast<std::uint64_t>(api::stat_int(
+      result.stats, "online.revision", static_cast<long long>(revision_)));
+  return result;
 }
 
 void RetryingClient::close_session(const std::string& id) {
   if (session_ == 0) return;
-  for (int attempt = 1; attempt <= policy_.max_attempts; ++attempt) {
-    try {
-      ensure_session(id);
+  try {
+    retry(id, /*claim=*/true, [&] {
       client_.close_session(session_, id, policy_.read_timeout_seconds);
-      break;
-    } catch (const TimedOut&) {
-      ++stats_.timeouts;
-      client_.close();
-      session_claimed_ = false;
-      if (attempt >= policy_.max_attempts) break;
-    } catch (const ConnectionError&) {
-      client_.close();
-      session_claimed_ = false;
-      if (attempt >= policy_.max_attempts) break;
-    } catch (const std::runtime_error&) {
-      break;  // already gone server-side — that IS closed
-    }
-    backoff(attempt, id);
+    });
+  } catch (const std::runtime_error&) {
+    // Best effort: a refusal means the session is already gone server-side
+    // — that IS closed — and a server still unreachable after the retries
+    // reaps it through its linger window.
   }
-  session_ = 0;
-  epoch_ = 0;
-  revision_ = 0;
-  session_claimed_ = false;
+  forget_session();
 }
 
 std::string fetch_metrics(const std::string& host, std::uint16_t port) {

@@ -26,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -165,6 +166,10 @@ class Client {
   util::Json stats();
 
  private:
+  /// Reads frames until the ok frame for (`op`, `id`), returning it, or an
+  /// error frame for `id` (throwing). Shared by the session ops.
+  util::Json await_ok(const std::string& op, const std::string& id,
+                      double read_timeout_seconds);
   /// Reads frames until `id`'s finished event (returning its result) or an
   /// error frame for `id` (throwing). Shared tail of solve/delta.
   api::SolveResult await_result(const std::string& id,
@@ -193,17 +198,22 @@ struct RetryPolicy {
   /// Resubmit after a failure that may have reached the server. Solve
   /// requests are idempotent — a resubmission under the same id lands in
   /// the server's fingerprint cache / single-flight dedup, so the solve
-  /// itself runs at most once. Set false for at-most-once *delivery*:
-  /// a failure after the submit was sent then propagates instead.
+  /// itself runs at most once. Set false for at-most-once *delivery*: a
+  /// failure once the call's frame has begun to be sent then propagates
+  /// instead. Failures before that (connect, the session resume) are
+  /// retried either way: nothing of the call reached the server yet.
   bool resubmit = true;
 };
 
+/// Counters over every RetryingClient call (solve and the session ops).
 struct RetryStats {
-  std::uint64_t attempts = 0;    ///< solve attempts, first tries included
+  std::uint64_t attempts = 0;    ///< tries, first tries included
   std::uint64_t reconnects = 0;  ///< connections re-established
-  std::uint64_t resubmits = 0;   ///< submits re-sent after a failure
-  std::uint64_t timeouts = 0;    ///< TimedOut errors absorbed
-  std::uint64_t recovered = 0;   ///< solves that succeeded after >=1 retry
+  /// Frames re-sent after a failure. A retry that fails before it sends
+  /// (connect or resume refused) re-sends nothing and is not counted.
+  std::uint64_t resubmits = 0;
+  std::uint64_t timeouts = 0;    ///< TimedOut errors hit, a thrown one too
+  std::uint64_t recovered = 0;   ///< calls that succeeded after >=1 retry
   std::uint64_t resumes = 0;     ///< sessions reclaimed via resume_session
   std::uint64_t duplicate_acks = 0;  ///< resent deltas answered from the
                                      ///< server's commit cache
@@ -247,9 +257,10 @@ class RetryingClient {
   api::SolveResult delta(const model::Delta& delta,
                          const std::string& id = "d1",
                          bool want_schedule = true);
-  /// Closes the tracked session (best-effort: transport failures after
-  /// retries are swallowed — an unreachable server reaps the session via
-  /// its linger window anyway).
+  /// Closes the tracked session, retried under the policy. Best effort:
+  /// a refusal, or a transport failure the policy does not retry, is
+  /// swallowed — an unreachable server reaps the session via its linger
+  /// window anyway.
   void close_session(const std::string& id = "c1");
 
   /// The tracked session's id (0 = none open), epoch token and the last
@@ -264,10 +275,19 @@ class RetryingClient {
 
  private:
   void backoff(int attempt, const std::string& id);
-  /// Ensure client_ is connected and, when a session is tracked but this
-  /// connection has not claimed it yet, resume it. Returns false when the
-  /// reconnect/resume failed on a retryable transport error.
-  void ensure_session(const std::string& id);
+  /// The one attempt/backoff loop behind every call: (re)connect, claim
+  /// the tracked session first when `claim` (resume_session after a
+  /// reconnect), then `send` the call's frame and await its answer. A
+  /// transport failure closes the connection, drops the session claim and
+  /// retries under the policy — unless attempts are exhausted, or the
+  /// send had begun and the policy forbids resubmission. Protocol errors
+  /// propagate at once.
+  void retry(const std::string& id, bool claim,
+             const std::function<void()>& send);
+  /// Resume the tracked session on the current connection unless it is
+  /// already claimed there. A structured refusal forgets the session.
+  void claim_session(const std::string& id);
+  void forget_session();
 
   std::string host_;
   std::uint16_t port_ = 0;

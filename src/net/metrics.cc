@@ -1,6 +1,8 @@
 #include "net/metrics.h"
 
 #include <cstdint>
+#include <variant>
+#include <vector>
 
 #include "persist/journal.h"
 
@@ -8,186 +10,206 @@ namespace bagsched::net {
 
 namespace {
 
-void metric_header(std::string& out, const char* name, const char* type,
-                   const char* help) {
-  out += "# HELP ";
-  out += name;
-  out += ' ';
-  out += help;
-  out += "\n# TYPE ";
-  out += name;
-  out += ' ';
-  out += type;
-  out += '\n';
-  out += name;
-  out += ' ';
+constexpr bool kCounter = true;
+constexpr bool kGauge = false;
+
+/// One exported field of a stats struct: the stats frame writes it as
+/// "<name>":value inside its section, /metrics as the family
+/// bagsched_<section>_<name> (plus _total for a counter).
+struct Field {
+  const char* name;
+  bool counter;
+  const char* help;
+  std::variant<std::uint64_t, double> value;
+};
+
+std::vector<Field> fields(const api::ServiceStats& s) {
+  return {
+      {"submitted", kCounter, "Requests accepted by the service queue",
+       s.submitted},
+      {"rejected", kCounter, "Requests shed at the max_queue_depth cap",
+       s.rejected},
+      {"finished", kCounter, "Accepted requests that resolved", s.finished},
+      {"queue_depth", kGauge, "Requests waiting for a slot right now",
+       std::uint64_t{s.queue_depth}},
+      {"active", kGauge, "Requests running right now",
+       std::uint64_t{s.active}},
+      {"cache_hits", kCounter, "Requests served from the solve cache",
+       s.cache_hits},
+      {"cache_rounded_hits", kCounter,
+       "Cache hits through the eps-rounded key", s.cache_rounded_hits},
+      {"dedup_shared", kCounter,
+       "Single-flight followers resolved from another request's solve",
+       s.dedup_shared},
+      {"queue_wait_ewma_seconds", kGauge,
+       "EWMA of request queue wait in seconds (brown-out signal)",
+       s.queue_wait_ewma_seconds},
+      {"sessions_opened", kCounter, "Online schedule sessions opened",
+       s.sessions_opened},
+      {"sessions_closed", kCounter, "Online schedule sessions closed",
+       s.sessions_closed},
+      {"open_sessions", kGauge, "Online schedule sessions open right now",
+       std::uint64_t{s.open_sessions}},
+      {"session_deltas", kCounter,
+       "Delta requests resolved by online sessions", s.session_deltas},
+      {"session_repaired", kCounter,
+       "Deltas settled without a full solve (noop/memo/repair/region)",
+       s.session_repaired},
+      {"session_fresh", kCounter,
+       "Deltas that fell through to a fresh portfolio solve",
+       s.session_fresh},
+      {"sessions_restored", kCounter,
+       "Sessions re-adopted from the journal at boot", s.sessions_restored},
+      {"session_duplicates", kCounter,
+       "Deltas answered from the commit cache via expect_revision",
+       s.session_duplicates},
+  };
 }
 
-void metric(std::string& out, const char* name, const char* type,
-            const char* help, std::uint64_t value) {
-  metric_header(out, name, type, help);
-  out += std::to_string(value);
-  out += '\n';
+std::vector<Field> fields(const cache::CacheStats& c) {
+  return {
+      {"hits", kCounter, "Solve-cache lookup hits", c.hits},
+      {"misses", kCounter, "Solve-cache lookup misses", c.misses},
+      {"insertions", kCounter, "Solve-cache insertions", c.insertions},
+      {"evictions", kCounter, "Entries evicted to fit the byte budget",
+       c.evictions},
+      {"oversized", kCounter,
+       "Insertions skipped because the entry alone exceeds the byte budget",
+       c.oversized},
+      {"entries", kGauge, "Resident cache entries", std::uint64_t{c.entries}},
+      {"bytes", kGauge, "Approximate resident cache footprint in bytes",
+       std::uint64_t{c.bytes}},
+  };
 }
 
-void metric(std::string& out, const char* name, const char* type,
-            const char* help, double value) {
-  metric_header(out, name, type, help);
-  out += std::to_string(value);
-  out += '\n';
+std::vector<Field> fields(const ServerCounters& c) {
+  return {
+      {"connections_accepted", kCounter, "Client connections accepted",
+       c.connections_accepted},
+      {"connections_active", kGauge, "Client connections open right now",
+       c.connections_active},
+      {"frames_in", kCounter, "Protocol frames received", c.frames_in},
+      {"frames_out", kCounter, "Protocol frames sent", c.frames_out},
+      {"bytes_in", kCounter, "Bytes received from clients", c.bytes_in},
+      {"bytes_out", kCounter, "Bytes sent to clients", c.bytes_out},
+      {"parse_errors", kCounter, "Frames rejected by the JSON parser",
+       c.parse_errors},
+      {"oversized_frames", kCounter,
+       "Connections closed for exceeding the frame-size cap",
+       c.oversized_frames},
+      {"submits", kCounter, "Submit frames admitted to the service",
+       c.submits},
+      {"cancels", kCounter, "Cancel frames applied to an in-flight request",
+       c.cancels},
+      {"metrics_requests", kCounter, "GET /metrics scrapes served",
+       c.metrics_requests},
+      {"disconnect_cancels", kCounter,
+       "Orphaned solves cancelled after a client disconnect",
+       c.disconnect_cancels},
+      {"slow_client_disconnects", kCounter,
+       "Clients dropped for an overfull outbound buffer",
+       c.slow_client_disconnects},
+      {"healthz_requests", kCounter, "GET /healthz probes served",
+       c.healthz_requests},
+      {"brownouts", kCounter,
+       "Submits degraded to the brown-out solver under queue pressure",
+       c.brownouts},
+      {"request_timeouts", kCounter,
+       "Requests escalated to a timeout error by the budget watchdog",
+       c.request_timeouts},
+      {"session_opens", kCounter,
+       "open_session frames admitted to the service", c.session_opens},
+      {"session_deltas", kCounter, "delta frames routed to an open session",
+       c.session_deltas},
+      {"session_closes", kCounter,
+       "Sessions closed by close_session frames or disconnects",
+       c.session_closes},
+      {"version_rejects", kCounter,
+       "Frames rejected for declaring a newer proto_version",
+       c.version_rejects},
+      {"session_resumes", kCounter, "Sessions reclaimed via resume_session",
+       c.session_resumes},
+      {"resume_rejects", kCounter, "resume_session frames refused",
+       c.resume_rejects},
+      {"sessions_orphaned", kCounter,
+       "Sessions parked in the linger window after a disconnect",
+       c.sessions_orphaned},
+      {"orphans_expired", kCounter,
+       "Orphaned sessions closed because nobody resumed them",
+       c.orphans_expired},
+      {"recovering_rejects", kCounter,
+       "Frames refused while the journal replayed", c.recovering_rejects},
+  };
+}
+
+std::vector<Field> fields(const persist::JournalStats& j) {
+  return {
+      {"records_appended", kCounter,
+       "Records appended to the write-ahead journal", j.records_appended},
+      {"bytes_appended", kCounter, "Payload bytes appended to the journal",
+       j.bytes_appended},
+      {"fsyncs", kCounter, "fsync calls issued by the journal", j.fsyncs},
+      {"snapshots", kCounter, "Snapshot compactions completed", j.snapshots},
+      {"snapshot_failures", kCounter,
+       "Snapshot compactions abandoned (old journal kept)",
+       j.snapshot_failures},
+      {"records_replayed", kCounter,
+       "Records replayed from the journal at boot", j.records_replayed},
+      {"sessions_recovered", kCounter,
+       "Sessions reconstructed from the journal at boot",
+       j.sessions_recovered},
+      {"truncated_bytes", kCounter,
+       "Torn-tail bytes truncated at journal open", j.truncated_bytes},
+      {"live_sessions", kGauge, "Sessions the journal currently tracks",
+       j.live_sessions},
+      {"bytes", kGauge, "Journal file size in bytes", j.journal_bytes},
+  };
+}
+
+util::Json section_json(const std::vector<Field>& section) {
+  util::Json json = util::Json::object();
+  for (const Field& field : section) {
+    std::visit([&](auto value) { json.set(field.name, value); }, field.value);
+  }
+  return json;
+}
+
+void write_families(std::string& out, const char* section,
+                    const std::vector<Field>& families) {
+  for (const Field& field : families) {
+    std::string name = std::string("bagsched_") + section + '_' + field.name;
+    if (field.counter) name += "_total";
+    out += "# HELP " + name + ' ' + field.help + "\n# TYPE " + name +
+           (field.counter ? " counter\n" : " gauge\n") + name + ' ';
+    out += std::visit([](auto value) { return std::to_string(value); },
+                      field.value);
+    out += '\n';
+  }
 }
 
 }  // namespace
+
+std::string stats_frame(const api::ServiceStats& service,
+                        const cache::CacheStats& cache,
+                        const ServerCounters& server) {
+  util::Json frame = util::Json::object();
+  frame.set("type", "stats");
+  frame.set("service", section_json(fields(service)));
+  frame.set("cache", section_json(fields(cache)));
+  frame.set("server", section_json(fields(server)));
+  return frame.dump();
+}
 
 std::string prometheus_text(const api::ServiceStats& service,
                             const cache::CacheStats& cache,
                             const ServerCounters& server,
                             const persist::JournalStats* journal) {
   std::string out;
-  out.reserve(4096);
-  // --- SchedulingService ---------------------------------------------------
-  metric(out, "bagsched_service_submitted_total", "counter",
-         "Requests accepted by the service queue", service.submitted);
-  metric(out, "bagsched_service_rejected_total", "counter",
-         "Requests shed at the max_queue_depth cap", service.rejected);
-  metric(out, "bagsched_service_finished_total", "counter",
-         "Accepted requests that resolved", service.finished);
-  metric(out, "bagsched_service_queue_depth", "gauge",
-         "Requests waiting for a slot right now", service.queue_depth);
-  metric(out, "bagsched_service_active", "gauge",
-         "Requests running right now", service.active);
-  metric(out, "bagsched_service_cache_hits_total", "counter",
-         "Requests served from the solve cache", service.cache_hits);
-  metric(out, "bagsched_service_cache_rounded_hits_total", "counter",
-         "Cache hits through the eps-rounded key", service.cache_rounded_hits);
-  metric(out, "bagsched_service_dedup_shared_total", "counter",
-         "Single-flight followers resolved from another request's solve",
-         service.dedup_shared);
-  metric(out, "bagsched_service_queue_wait_ewma_seconds", "gauge",
-         "EWMA of request queue wait in seconds (brown-out signal)",
-         service.queue_wait_ewma_seconds);
-  metric(out, "bagsched_service_sessions_opened_total", "counter",
-         "Online schedule sessions opened", service.sessions_opened);
-  metric(out, "bagsched_service_sessions_closed_total", "counter",
-         "Online schedule sessions closed", service.sessions_closed);
-  metric(out, "bagsched_service_open_sessions", "gauge",
-         "Online schedule sessions open right now", service.open_sessions);
-  metric(out, "bagsched_service_session_deltas_total", "counter",
-         "Delta requests resolved by online sessions", service.session_deltas);
-  metric(out, "bagsched_service_session_repaired_total", "counter",
-         "Deltas settled without a full solve (noop/memo/repair/region)",
-         service.session_repaired);
-  metric(out, "bagsched_service_session_fresh_total", "counter",
-         "Deltas that fell through to a fresh portfolio solve",
-         service.session_fresh);
-  metric(out, "bagsched_service_sessions_restored_total", "counter",
-         "Sessions re-adopted from the journal at boot",
-         service.sessions_restored);
-  metric(out, "bagsched_service_session_duplicates_total", "counter",
-         "Deltas answered from the commit cache via expect_revision",
-         service.session_duplicates);
-  // --- SolveCache ----------------------------------------------------------
-  metric(out, "bagsched_cache_hits_total", "counter", "Solve-cache lookup hits",
-         cache.hits);
-  metric(out, "bagsched_cache_misses_total", "counter",
-         "Solve-cache lookup misses", cache.misses);
-  metric(out, "bagsched_cache_insertions_total", "counter",
-         "Solve-cache insertions", cache.insertions);
-  metric(out, "bagsched_cache_evictions_total", "counter",
-         "Entries evicted to fit the byte budget", cache.evictions);
-  metric(out, "bagsched_cache_entries", "gauge", "Resident cache entries",
-         cache.entries);
-  metric(out, "bagsched_cache_bytes", "gauge",
-         "Approximate resident cache footprint in bytes", cache.bytes);
-  // --- Server --------------------------------------------------------------
-  metric(out, "bagsched_server_connections_accepted_total", "counter",
-         "Client connections accepted", server.connections_accepted);
-  metric(out, "bagsched_server_connections_active", "gauge",
-         "Client connections open right now", server.connections_active);
-  metric(out, "bagsched_server_frames_in_total", "counter",
-         "Protocol frames received", server.frames_in);
-  metric(out, "bagsched_server_frames_out_total", "counter",
-         "Protocol frames sent", server.frames_out);
-  metric(out, "bagsched_server_bytes_in_total", "counter",
-         "Bytes received from clients", server.bytes_in);
-  metric(out, "bagsched_server_bytes_out_total", "counter",
-         "Bytes sent to clients", server.bytes_out);
-  metric(out, "bagsched_server_parse_errors_total", "counter",
-         "Frames rejected by the JSON parser", server.parse_errors);
-  metric(out, "bagsched_server_oversized_frames_total", "counter",
-         "Connections closed for exceeding the frame-size cap",
-         server.oversized_frames);
-  metric(out, "bagsched_server_submits_total", "counter",
-         "Submit frames admitted to the service", server.submits);
-  metric(out, "bagsched_server_cancels_total", "counter",
-         "Cancel frames applied to an in-flight request", server.cancels);
-  metric(out, "bagsched_server_metrics_requests_total", "counter",
-         "GET /metrics scrapes served", server.metrics_requests);
-  metric(out, "bagsched_server_disconnect_cancels_total", "counter",
-         "Orphaned solves cancelled after a client disconnect",
-         server.disconnect_cancels);
-  metric(out, "bagsched_server_slow_client_disconnects_total", "counter",
-         "Clients dropped for an overfull outbound buffer",
-         server.slow_client_disconnects);
-  metric(out, "bagsched_server_healthz_requests_total", "counter",
-         "GET /healthz probes served", server.healthz_requests);
-  metric(out, "bagsched_server_brownouts_total", "counter",
-         "Submits degraded to the brown-out solver under queue pressure",
-         server.brownouts);
-  metric(out, "bagsched_server_request_timeouts_total", "counter",
-         "Requests escalated to a timeout error by the budget watchdog",
-         server.request_timeouts);
-  metric(out, "bagsched_server_session_opens_total", "counter",
-         "open_session frames admitted to the service", server.session_opens);
-  metric(out, "bagsched_server_session_deltas_total", "counter",
-         "delta frames routed to an open session", server.session_deltas);
-  metric(out, "bagsched_server_session_closes_total", "counter",
-         "Sessions closed by close_session frames or disconnects",
-         server.session_closes);
-  metric(out, "bagsched_server_version_rejects_total", "counter",
-         "Frames rejected for declaring a newer proto_version",
-         server.version_rejects);
-  metric(out, "bagsched_server_session_resumes_total", "counter",
-         "Sessions reclaimed via resume_session", server.session_resumes);
-  metric(out, "bagsched_server_resume_rejects_total", "counter",
-         "resume_session frames refused", server.resume_rejects);
-  metric(out, "bagsched_server_sessions_orphaned_total", "counter",
-         "Sessions parked in the linger window after a disconnect",
-         server.sessions_orphaned);
-  metric(out, "bagsched_server_orphans_expired_total", "counter",
-         "Orphaned sessions closed because nobody resumed them",
-         server.orphans_expired);
-  metric(out, "bagsched_server_recovering_rejects_total", "counter",
-         "Frames refused while the journal replayed",
-         server.recovering_rejects);
-  // --- Journal (only when sched_server runs with --journal-dir) -----------
-  if (journal != nullptr) {
-    metric(out, "bagsched_journal_records_appended_total", "counter",
-           "Records appended to the write-ahead journal",
-           journal->records_appended);
-    metric(out, "bagsched_journal_bytes_appended_total", "counter",
-           "Payload bytes appended to the journal", journal->bytes_appended);
-    metric(out, "bagsched_journal_fsyncs_total", "counter",
-           "fsync calls issued by the journal", journal->fsyncs);
-    metric(out, "bagsched_journal_snapshots_total", "counter",
-           "Snapshot compactions completed", journal->snapshots);
-    metric(out, "bagsched_journal_snapshot_failures_total", "counter",
-           "Snapshot compactions abandoned (old journal kept)",
-           journal->snapshot_failures);
-    metric(out, "bagsched_journal_records_replayed_total", "counter",
-           "Records replayed from the journal at boot",
-           journal->records_replayed);
-    metric(out, "bagsched_journal_sessions_recovered_total", "counter",
-           "Sessions reconstructed from the journal at boot",
-           journal->sessions_recovered);
-    metric(out, "bagsched_journal_truncated_bytes_total", "counter",
-           "Torn-tail bytes truncated at journal open",
-           journal->truncated_bytes);
-    metric(out, "bagsched_journal_live_sessions", "gauge",
-           "Sessions the journal currently tracks", journal->live_sessions);
-    metric(out, "bagsched_journal_bytes", "gauge",
-           "Journal file size in bytes", journal->journal_bytes);
-  }
+  out.reserve(8192);
+  write_families(out, "service", fields(service));
+  write_families(out, "cache", fields(cache));
+  write_families(out, "server", fields(server));
+  if (journal != nullptr) write_families(out, "journal", fields(*journal));
   return out;
 }
 

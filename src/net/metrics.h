@@ -1,14 +1,18 @@
-// Prometheus text exposition for the /metrics endpoint.
+// Stats export for sched_server: the stats frame and the Prometheus text
+// exposition served at /metrics.
 //
+// Both walk one field list per stats struct (ServiceStats, CacheStats,
+// ServerCounters and, when sched_server journals, persist::JournalStats),
+// so a field added there shows up on the wire and in the scrape at once.
 // sched_server answers `GET /metrics` on its NDJSON port with the
-// text/plain 0.0.4 exposition format, covering the scheduling service's
-// counters and gauges (ServiceStats), the solve cache (CacheStats) and the
-// server's own connection/byte/frame counters — everything a scrape needs
-// to alert on load shedding, cache efficiency and slow clients.
+// text/plain 0.0.4 exposition format — everything a scrape needs to alert
+// on load shedding, cache efficiency, slow clients and journal health.
 #pragma once
 
 #include <string>
 
+#include "api/service.h"
+#include "cache/solve_cache.h"
 #include "net/protocol.h"
 
 namespace bagsched::persist {
@@ -17,9 +21,16 @@ struct JournalStats;
 
 namespace bagsched::net {
 
-/// The full exposition document (HELP/TYPE lines included). `journal`
-/// (optional — sched_server passes it when --journal-dir is set) adds the
-/// write-ahead journal's append/fsync/snapshot/recovery gauges.
+/// {"type":"stats","service":{...},"cache":{...},"server":{...}}: each
+/// section holds one key per field of its stats struct.
+std::string stats_frame(const api::ServiceStats& service,
+                        const cache::CacheStats& cache,
+                        const ServerCounters& server);
+
+/// The full exposition document (HELP/TYPE lines included): one family
+/// `bagsched_<section>_<field>` per field, with `_total` on counters.
+/// `journal` (optional — sched_server passes it when --journal-dir is set)
+/// adds the write-ahead journal's append/fsync/snapshot/recovery families.
 std::string prometheus_text(const api::ServiceStats& service,
                             const cache::CacheStats& cache,
                             const ServerCounters& server,

@@ -52,8 +52,6 @@
 #include <string>
 
 #include "api/progress.h"
-#include "api/service.h"
-#include "cache/solve_cache.h"
 #include "util/json.h"
 
 namespace bagsched::net {
@@ -179,13 +177,5 @@ std::string pong_frame();
 
 /// Connection greeting: the server's protocol version and software name.
 std::string hello_frame();
-
-util::Json to_json(const api::ServiceStats& stats);
-util::Json to_json(const cache::CacheStats& stats);
-util::Json to_json(const ServerCounters& counters);
-
-std::string stats_frame(const api::ServiceStats& service,
-                        const cache::CacheStats& cache,
-                        const ServerCounters& server);
 
 }  // namespace bagsched::net

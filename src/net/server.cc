@@ -37,10 +37,12 @@ struct Sink {
   std::mutex mutex;
   std::vector<std::string> frames;
   std::vector<std::string> finished;  ///< client ids whose request resolved
-  /// Ids escalated to a "timeout" error by the budget watchdog: their
-  /// terminal frame was already sent, so any late frames from the solve
-  /// are dropped (the id leaves the set when its Finished event arrives).
-  std::unordered_set<std::string> suppressed;
+  /// Service request ids escalated to a "timeout" error by the budget
+  /// watchdog: their terminal frame was already sent, so any late frames
+  /// from the solve are dropped (the id leaves the set when its Finished
+  /// event arrives). Keyed by the service id, not the client id, so a
+  /// client may reuse an escalated id while the stuck solve still runs.
+  std::unordered_set<std::uint64_t> suppressed;
   bool alive = true;
   int wake_fd = -1;
 };
@@ -95,6 +97,80 @@ bool is_rejection(const api::SolveResult& result) {
          result.error.rfind("rejected:", 0) == 0;
 }
 
+/// The progress callback of one wire request. It runs on service worker
+/// threads (and, for Queued, on the loop thread inside submit): it
+/// serializes the frame outside the sink lock, drops it when the
+/// connection is gone or the request was escalated to a timeout, and wakes
+/// the poll loop.
+api::ProgressFn progress_callback(std::shared_ptr<Sink> sink, std::string id,
+                                  bool want_progress, bool want_schedule,
+                                  bool degraded) {
+  return [sink = std::move(sink), id = std::move(id), want_progress,
+          want_schedule, degraded](const api::ProgressEvent& event) {
+    const bool terminal = event.kind == api::ProgressKind::Finished;
+    if (!terminal && !want_progress) return;
+    std::string frame_text =
+        terminal && event.result != nullptr && is_rejection(*event.result)
+            ? error_frame("rejected", event.result->error, &id)
+            : event_frame(id, event, want_schedule, degraded);
+    int wake_fd = -1;
+    {
+      std::lock_guard<std::mutex> lock(sink->mutex);
+      if (!sink->alive) return;
+      const auto suppressed = sink->suppressed.find(event.request_id);
+      if (suppressed != sink->suppressed.end()) {
+        // Escalated: the "timeout" error was this request's terminal
+        // frame. Late events are dropped; the Finished one retires the
+        // suppression.
+        if (terminal) sink->suppressed.erase(suppressed);
+        return;
+      }
+      sink->frames.push_back(std::move(frame_text));
+      if (terminal) sink->finished.push_back(id);
+      wake_fd = sink->wake_fd;
+    }
+    if (wake_fd != -1) {
+      const char byte = 1;
+      [[maybe_unused]] const ssize_t n = ::write(wake_fd, &byte, 1);
+    }
+  };
+}
+
+/// Error code for an exception out of a service_ call that starts a
+/// request: an unregistered solver name, any other invalid request, or
+/// the service refusing work because it is shutting down.
+const char* service_error_code(const std::exception& error) {
+  if (dynamic_cast<const std::invalid_argument*>(&error) == nullptr) {
+    return "draining";
+  }
+  return std::string(error.what()).find("solver") != std::string::npos
+             ? "unknown_solver"
+             : "bad_request";
+}
+
+/// The "request" payload of a submit/open_session frame; throws on a
+/// missing or malformed one.
+api::SolveRequest request_field(const util::Json& frame,
+                                const std::string& type) {
+  const util::Json* value = frame.find("request");
+  if (value == nullptr) {
+    throw std::runtime_error(type + " requires a \"request\"");
+  }
+  return api::solve_request_from_json(*value);
+}
+
+/// The positive "session" id of a close/resume frame; throws on a missing
+/// or malformed one.
+std::uint64_t session_field(const util::Json& frame, const std::string& type) {
+  const util::Json* value = frame.find("session");
+  if (value == nullptr) {
+    throw std::runtime_error(type + " requires a \"session\"");
+  }
+  const long long raw = value->as_int();
+  if (raw <= 0) throw std::runtime_error("session must be a positive id");
+  return static_cast<std::uint64_t>(raw);
+}
+
 /// First whitespace-separated token after the method of an HTTP request
 /// line ("GET /metrics HTTP/1.0" → "/metrics").
 std::string http_target(const std::string& line) {
@@ -125,10 +201,7 @@ void SchedServer::adopt_orphans(const std::vector<std::uint64_t>& sessions) {
     adopted_orphans_.insert(adopted_orphans_.end(), sessions.begin(),
                             sessions.end());
   }
-  {
-    std::lock_guard<std::mutex> lock(counters_mutex_);
-    counters_.sessions_orphaned += sessions.size();
-  }
+  count(&ServerCounters::sessions_orphaned, sessions.size());
   wake();
 }
 
@@ -403,7 +476,9 @@ void SchedServer::escalate_stuck() {
             std::find(connection->sink->finished.begin(),
                       connection->sink->finished.end(),
                       id) != connection->sink->finished.end();
-        if (!already_finished) connection->sink->suppressed.insert(id);
+        if (!already_finished) {
+          connection->sink->suppressed.insert(it->second.handle.id());
+        }
       }
       if (already_finished) {
         ++it;
@@ -417,10 +492,7 @@ void SchedServer::escalate_stuck() {
                                      config_.request_budget_seconds) +
                                  "s budget",
                              &id));
-      {
-        std::lock_guard<std::mutex> lock(counters_mutex_);
-        ++counters_.request_timeouts;
-      }
+      count(&ServerCounters::request_timeouts);
       it = connection->inflight.erase(it);
     }
   }
@@ -451,11 +523,8 @@ void SchedServer::accept_ready() {
     connection->fd = fd;
     connection->sink = std::make_shared<Sink>();
     connection->sink->wake_fd = wake_write_fd_;
-    {
-      std::lock_guard<std::mutex> lock(counters_mutex_);
-      ++counters_.connections_accepted;
-      ++counters_.connections_active;
-    }
+    count(&ServerCounters::connections_accepted);
+    count(&ServerCounters::connections_active);
     connections_.push_back(std::move(connection));
   }
 }
@@ -475,10 +544,7 @@ void SchedServer::read_ready(Connection& connection) {
         BAGSCHED_FAULT("net.server.read.short") ? 1 : sizeof(buffer);
     const ssize_t n = ::recv(connection.fd, buffer, cap, 0);
     if (n > 0) {
-      {
-        std::lock_guard<std::mutex> lock(counters_mutex_);
-        counters_.bytes_in += static_cast<std::uint64_t>(n);
-      }
+      count(&ServerCounters::bytes_in, static_cast<std::uint64_t>(n));
       connection.framer.feed(buffer, static_cast<std::size_t>(n));
       while (!connection.dead && !connection.close_after_flush) {
         const auto line = connection.framer.next();
@@ -488,10 +554,7 @@ void SchedServer::read_ready(Connection& connection) {
       }
       if (!connection.dead && connection.framer.overflowed() &&
           !connection.close_after_flush) {
-        {
-          std::lock_guard<std::mutex> lock(counters_mutex_);
-          ++counters_.oversized_frames;
-        }
+        count(&ServerCounters::oversized_frames);
         send_frame(connection,
                    error_frame("oversized_frame",
                                "frame exceeds " +
@@ -532,8 +595,7 @@ void SchedServer::flush(Connection& connection) {
         cap, MSG_NOSIGNAL);
     if (n > 0) {
       connection.out_offset += static_cast<std::size_t>(n);
-      std::lock_guard<std::mutex> lock(counters_mutex_);
-      counters_.bytes_out += static_cast<std::uint64_t>(n);
+      count(&ServerCounters::bytes_out, static_cast<std::uint64_t>(n));
       continue;
     }
     if (errno == EAGAIN || errno == EWOULDBLOCK) break;
@@ -568,17 +630,11 @@ void SchedServer::pump_sink(Connection& connection) {
     connection.out += frame;
     connection.out += '\n';
   }
-  if (!frames.empty()) {
-    std::lock_guard<std::mutex> lock(counters_mutex_);
-    counters_.frames_out += frames.size();
-  }
+  if (!frames.empty()) count(&ServerCounters::frames_out, frames.size());
   for (const auto& id : finished) connection.inflight.erase(id);
   if (connection.out.size() - connection.out_offset >
       config_.max_output_bytes) {
-    {
-      std::lock_guard<std::mutex> lock(counters_mutex_);
-      ++counters_.slow_client_disconnects;
-    }
+    count(&ServerCounters::slow_client_disconnects);
     close_connection(connection);
   }
 }
@@ -612,10 +668,7 @@ void SchedServer::sweep_orphans(bool close_all) {
       ++it;
     }
   }
-  if (expired > 0) {
-    std::lock_guard<std::mutex> lock(counters_mutex_);
-    counters_.orphans_expired += expired;
-  }
+  if (expired > 0) count(&ServerCounters::orphans_expired, expired);
 }
 
 void SchedServer::close_connection(Connection& connection,
@@ -665,8 +718,13 @@ void SchedServer::close_connection(Connection& connection,
 void SchedServer::send_frame(Connection& connection, std::string frame) {
   connection.out += frame;
   connection.out += '\n';
+  count(&ServerCounters::frames_out);
+}
+
+void SchedServer::count(std::uint64_t ServerCounters::*counter,
+                        std::uint64_t n) {
   std::lock_guard<std::mutex> lock(counters_mutex_);
-  ++counters_.frames_out;
+  counters_.*counter += n;
 }
 
 void SchedServer::handle_line(Connection& connection,
@@ -678,10 +736,7 @@ void SchedServer::handle_line(Connection& connection,
     handle_http(connection, line);
     return;
   }
-  {
-    std::lock_guard<std::mutex> lock(counters_mutex_);
-    ++counters_.frames_in;
-  }
+  count(&ServerCounters::frames_in);
   connection.saw_frame = true;
   // Greeting: sent once per NDJSON connection, before the first frame's
   // response. Deferred to here (not accept time) so HTTP probes on the
@@ -694,10 +749,7 @@ void SchedServer::handle_line(Connection& connection,
   try {
     frame = util::Json::parse(line);
   } catch (const std::exception& error) {
-    {
-      std::lock_guard<std::mutex> lock(counters_mutex_);
-      ++counters_.parse_errors;
-    }
+    count(&ServerCounters::parse_errors);
     send_frame(connection, error_frame("parse_error", error.what()));
     return;
   }
@@ -720,10 +772,7 @@ void SchedServer::handle_line(Connection& connection,
       return;
     }
     if (declared > kProtoVersion) {
-      {
-        std::lock_guard<std::mutex> lock(counters_mutex_);
-        ++counters_.version_rejects;
-      }
+      count(&ServerCounters::version_rejects);
       send_frame(connection,
                  error_frame("unsupported_version",
                              "frame declares proto_version " +
@@ -745,10 +794,7 @@ void SchedServer::handle_line(Connection& connection,
       } catch (const std::exception&) {
       }
     }
-    {
-      std::lock_guard<std::mutex> lock(counters_mutex_);
-      ++counters_.recovering_rejects;
-    }
+    count(&ServerCounters::recovering_rejects);
     send_frame(connection,
                error_frame("recovering",
                            "server is replaying its journal; retry shortly",
@@ -789,10 +835,7 @@ void SchedServer::handle_http(Connection& connection,
     response = http_response(400, "text/plain",
                              "only GET is supported on this port\n");
   } else if (target == "/metrics") {
-    {
-      std::lock_guard<std::mutex> lock(counters_mutex_);
-      ++counters_.metrics_requests;
-    }
+    count(&ServerCounters::metrics_requests);
     std::optional<persist::JournalStats> journal;
     if (config_.service.journal != nullptr) {
       journal = config_.service.journal->stats();
@@ -806,10 +849,7 @@ void SchedServer::handle_http(Connection& connection,
     // means the event loop is alive; 200 means submits are accepted, 503
     // that the server is draining (stop routing here) or still recovering
     // (journal replay; route back once the body flips to "ok").
-    {
-      std::lock_guard<std::mutex> lock(counters_mutex_);
-      ++counters_.healthz_requests;
-    }
+    count(&ServerCounters::healthz_requests);
     response = recovering()
                    ? http_response(503, "text/plain", "recovering\n")
                : draining()
@@ -823,52 +863,53 @@ void SchedServer::handle_http(Connection& connection,
   flush(connection);
 }
 
-void SchedServer::handle_submit(Connection& connection,
-                                const util::Json& frame) {
-  const util::Json* id_value = frame.find("id");
-  if (id_value == nullptr) {
-    send_frame(connection,
-               error_frame("bad_request", "submit requires an \"id\""));
-    return;
-  }
+std::optional<std::string> SchedServer::admit(Connection& connection,
+                                              const util::Json& frame,
+                                              const std::string& type,
+                                              const char* refusal) {
   std::string id;
   try {
+    const util::Json* id_value = frame.find("id");
+    if (id_value == nullptr) {
+      throw std::runtime_error(type + " requires an \"id\"");
+    }
     id = client_id_text(*id_value);
   } catch (const std::exception& error) {
     send_frame(connection, error_frame("bad_request", error.what()));
-    return;
+    return std::nullopt;
   }
+  if (refusal == nullptr) return id;
   if (connection.inflight.count(id) != 0) {
     send_frame(connection,
                error_frame("duplicate_id",
                            "id \"" + id +
                                "\" is already in flight on this connection",
                            &id));
-    return;
+    return std::nullopt;
   }
   if (draining()) {
     send_frame(connection,
                error_frame("draining",
-                           "server is draining and accepts no new submits",
+                           std::string("server is draining and ") + refusal,
                            &id));
-    return;
+    return std::nullopt;
   }
-  const util::Json* request_value = frame.find("request");
-  if (request_value == nullptr) {
-    send_frame(connection,
-               error_frame("bad_request", "submit requires a \"request\"",
-                           &id));
-    return;
-  }
+  return id;
+}
+
+void SchedServer::handle_submit(Connection& connection,
+                                const util::Json& frame) {
+  const std::optional<std::string> admitted =
+      admit(connection, frame, "submit", "accepts no new submits");
+  if (!admitted.has_value()) return;
+  const std::string& id = *admitted;
   api::SolveRequest request;
   try {
-    request = api::solve_request_from_json(*request_value);
+    request = request_field(frame, "submit");
   } catch (const std::exception& error) {
     send_frame(connection, error_frame("bad_request", error.what(), &id));
     return;
   }
-  const bool want_progress = frame.bool_or("progress", false);
-  const bool want_schedule = frame.bool_or("schedule", true);
 
   // Overload brown-out: with the queue-wait EWMA past the threshold, a
   // full solve would only deepen the backlog. Degrade to the cheap bag-LPT
@@ -880,8 +921,7 @@ void SchedServer::handle_submit(Connection& connection,
           config_.brownout_queue_latency_seconds) {
     request.solvers = {"bag-lpt"};
     degraded = true;
-    std::lock_guard<std::mutex> lock(counters_mutex_);
-    ++counters_.brownouts;
+    count(&ServerCounters::brownouts);
   }
 
   // Per-request budget: clamp the deadline so the service watchdog cancels
@@ -902,131 +942,50 @@ void SchedServer::handle_submit(Connection& connection,
                                           config_.stuck_grace_seconds));
   }
 
-  // The callback runs on service worker threads (and, for Queued, on this
-  // thread inside submit). It serializes the frame outside the sink lock,
-  // drops it when the connection is gone or the id was escalated to a
-  // timeout, and wakes the poll loop.
-  std::shared_ptr<Sink> sink = connection.sink;
-  request.on_progress = [sink, id, want_progress, want_schedule,
-                         degraded](const api::ProgressEvent& event) {
-    const bool terminal = event.kind == api::ProgressKind::Finished;
-    if (!terminal && !want_progress) return;
-    std::string frame_text;
-    if (terminal && event.result != nullptr && is_rejection(*event.result)) {
-      frame_text = error_frame("rejected", event.result->error, &id);
-    } else {
-      frame_text = event_frame(id, event, want_schedule, degraded);
-    }
-    int wake_fd = -1;
-    {
-      std::lock_guard<std::mutex> lock(sink->mutex);
-      if (!sink->alive) return;
-      const auto suppressed = sink->suppressed.find(id);
-      if (suppressed != sink->suppressed.end()) {
-        // Escalated: the "timeout" error was this request's terminal
-        // frame. Late events are dropped; the Finished one retires the
-        // suppression so the id can be reused.
-        if (terminal) sink->suppressed.erase(suppressed);
-        return;
-      }
-      sink->frames.push_back(std::move(frame_text));
-      if (terminal) sink->finished.push_back(id);
-      wake_fd = sink->wake_fd;
-    }
-    if (wake_fd != -1) {
-      const char byte = 1;
-      [[maybe_unused]] const ssize_t n = ::write(wake_fd, &byte, 1);
-    }
-  };
+  request.on_progress = progress_callback(
+      connection.sink, id, frame.bool_or("progress", false),
+      frame.bool_or("schedule", true), degraded);
   try {
     api::SolveHandle handle = service_.submit(std::move(request));
     // A backpressure rejection resolved synchronously inside submit(): its
     // terminal frame and finished-id are already queued on the sink, and
     // the pump after this dispatch erases the entry again.
     connection.inflight.emplace(id, Inflight{std::move(handle), escalate_at});
-    std::lock_guard<std::mutex> lock(counters_mutex_);
-    ++counters_.submits;
-  } catch (const std::invalid_argument& error) {
-    const std::string code = std::string(error.what()).find("solver") !=
-                                     std::string::npos
-                                 ? "unknown_solver"
-                                 : "bad_request";
-    send_frame(connection, error_frame(code, error.what(), &id));
+    count(&ServerCounters::submits);
   } catch (const std::exception& error) {
-    send_frame(connection, error_frame("draining", error.what(), &id));
+    send_frame(connection,
+               error_frame(service_error_code(error), error.what(), &id));
   }
   pump_sink(connection);
 }
 
 void SchedServer::handle_cancel(Connection& connection,
                                 const util::Json& frame) {
-  const util::Json* id_value = frame.find("id");
-  std::string id;
-  try {
-    if (id_value == nullptr) {
-      throw std::runtime_error("cancel requires an \"id\"");
-    }
-    id = client_id_text(*id_value);
-  } catch (const std::exception& error) {
-    send_frame(connection, error_frame("bad_request", error.what()));
-    return;
-  }
-  const auto it = connection.inflight.find(id);
+  const std::optional<std::string> id =
+      admit(connection, frame, "cancel", nullptr);
+  if (!id.has_value()) return;
+  const auto it = connection.inflight.find(*id);
   if (it == connection.inflight.end()) {
     send_frame(connection,
                error_frame("unknown_id",
-                           "id \"" + id + "\" is not in flight", &id));
+                           "id \"" + *id + "\" is not in flight", &*id));
     return;
   }
   it->second.handle.cancel();
-  {
-    std::lock_guard<std::mutex> lock(counters_mutex_);
-    ++counters_.cancels;
-  }
-  send_frame(connection, ok_frame("cancel", id));
+  count(&ServerCounters::cancels);
+  send_frame(connection, ok_frame("cancel", *id));
 }
 
 void SchedServer::handle_open_session(Connection& connection,
                                       const util::Json& frame) {
-  const util::Json* id_value = frame.find("id");
-  if (id_value == nullptr) {
-    send_frame(connection,
-               error_frame("bad_request", "open_session requires an \"id\""));
-    return;
-  }
-  std::string id;
-  try {
-    id = client_id_text(*id_value);
-  } catch (const std::exception& error) {
-    send_frame(connection, error_frame("bad_request", error.what()));
-    return;
-  }
-  if (connection.inflight.count(id) != 0) {
-    send_frame(connection,
-               error_frame("duplicate_id",
-                           "id \"" + id +
-                               "\" is already in flight on this connection",
-                           &id));
-    return;
-  }
-  if (draining()) {
-    send_frame(connection,
-               error_frame("draining",
-                           "server is draining and opens no new sessions",
-                           &id));
-    return;
-  }
-  const util::Json* request_value = frame.find("request");
-  if (request_value == nullptr) {
-    send_frame(connection,
-               error_frame("bad_request",
-                           "open_session requires a \"request\"", &id));
-    return;
-  }
+  const std::optional<std::string> admitted =
+      admit(connection, frame, "open_session", "opens no new sessions");
+  if (!admitted.has_value()) return;
+  const std::string& id = *admitted;
   api::SolveRequest request;
   online::SessionOptions tuning;
   try {
-    request = api::solve_request_from_json(*request_value);
+    request = request_field(frame, "open_session");
     if (const util::Json* regret = frame.find("regret_bound")) {
       tuning.regret_bound = regret->as_number();
       if (!(tuning.regret_bound >= 0.0)) {
@@ -1037,28 +996,9 @@ void SchedServer::handle_open_session(Connection& connection,
     send_frame(connection, error_frame("bad_request", error.what(), &id));
     return;
   }
-  const bool want_progress = frame.bool_or("progress", false);
-  const bool want_schedule = frame.bool_or("schedule", true);
-  std::shared_ptr<Sink> sink = connection.sink;
-  request.on_progress = [sink, id, want_progress,
-                         want_schedule](const api::ProgressEvent& event) {
-    const bool terminal = event.kind == api::ProgressKind::Finished;
-    if (!terminal && !want_progress) return;
-    const std::string frame_text =
-        event_frame(id, event, want_schedule);
-    int wake_fd = -1;
-    {
-      std::lock_guard<std::mutex> lock(sink->mutex);
-      if (!sink->alive) return;
-      sink->frames.push_back(frame_text);
-      if (terminal) sink->finished.push_back(id);
-      wake_fd = sink->wake_fd;
-    }
-    if (wake_fd != -1) {
-      const char byte = 1;
-      [[maybe_unused]] const ssize_t n = ::write(wake_fd, &byte, 1);
-    }
-  };
+  request.on_progress = progress_callback(
+      connection.sink, id, frame.bool_or("progress", false),
+      frame.bool_or("schedule", true), /*degraded=*/false);
   try {
     api::SchedulingService::SessionOpening opening =
         service_.open_session(std::move(request), std::move(tuning));
@@ -1073,50 +1013,20 @@ void SchedServer::handle_open_session(Connection& connection,
     // Session ops ignore cancellation tokens, so no timeout escalation.
     connection.inflight.emplace(
         id, Inflight{std::move(opening.initial), std::nullopt});
-    std::lock_guard<std::mutex> lock(counters_mutex_);
-    ++counters_.session_opens;
-  } catch (const std::invalid_argument& error) {
-    const std::string code = std::string(error.what()).find("solver") !=
-                                     std::string::npos
-                                 ? "unknown_solver"
-                                 : "bad_request";
-    send_frame(connection, error_frame(code, error.what(), &id));
+    count(&ServerCounters::session_opens);
   } catch (const std::exception& error) {
-    send_frame(connection, error_frame("bad_request", error.what(), &id));
+    send_frame(connection,
+               error_frame(service_error_code(error), error.what(), &id));
   }
   pump_sink(connection);
 }
 
 void SchedServer::handle_delta(Connection& connection,
                                const util::Json& frame) {
-  const util::Json* id_value = frame.find("id");
-  if (id_value == nullptr) {
-    send_frame(connection,
-               error_frame("bad_request", "delta requires an \"id\""));
-    return;
-  }
-  std::string id;
-  try {
-    id = client_id_text(*id_value);
-  } catch (const std::exception& error) {
-    send_frame(connection, error_frame("bad_request", error.what()));
-    return;
-  }
-  if (connection.inflight.count(id) != 0) {
-    send_frame(connection,
-               error_frame("duplicate_id",
-                           "id \"" + id +
-                               "\" is already in flight on this connection",
-                           &id));
-    return;
-  }
-  if (draining()) {
-    send_frame(connection,
-               error_frame("draining",
-                           "server is draining and accepts no new deltas",
-                           &id));
-    return;
-  }
+  const std::optional<std::string> admitted =
+      admit(connection, frame, "delta", "accepts no new deltas");
+  if (!admitted.has_value()) return;
+  const std::string& id = *admitted;
   api::DeltaRequest request;
   try {
     request = api::delta_request_from_json(frame);
@@ -1134,56 +1044,32 @@ void SchedServer::handle_delta(Connection& connection,
                            &id));
     return;
   }
-  const bool want_progress = frame.bool_or("progress", false);
-  const bool want_schedule = frame.bool_or("schedule", true);
-  std::shared_ptr<Sink> sink = connection.sink;
-  request.on_progress = [sink, id, want_progress,
-                         want_schedule](const api::ProgressEvent& event) {
-    const bool terminal = event.kind == api::ProgressKind::Finished;
-    if (!terminal && !want_progress) return;
-    const std::string frame_text =
-        event_frame(id, event, want_schedule);
-    int wake_fd = -1;
-    {
-      std::lock_guard<std::mutex> lock(sink->mutex);
-      if (!sink->alive) return;
-      sink->frames.push_back(frame_text);
-      if (terminal) sink->finished.push_back(id);
-      wake_fd = sink->wake_fd;
-    }
-    if (wake_fd != -1) {
-      const char byte = 1;
-      [[maybe_unused]] const ssize_t n = ::write(wake_fd, &byte, 1);
-    }
-  };
-  api::SolveHandle handle = service_.submit(std::move(request));
-  connection.inflight.emplace(id, Inflight{std::move(handle), std::nullopt});
-  {
-    std::lock_guard<std::mutex> lock(counters_mutex_);
-    ++counters_.session_deltas;
+  request.on_progress = progress_callback(
+      connection.sink, id, frame.bool_or("progress", false),
+      frame.bool_or("schedule", true), /*degraded=*/false);
+  try {
+    api::SolveHandle handle = service_.submit(std::move(request));
+    connection.inflight.emplace(id,
+                                Inflight{std::move(handle), std::nullopt});
+    count(&ServerCounters::session_deltas);
+  } catch (const std::exception& error) {
+    send_frame(connection,
+               error_frame(service_error_code(error), error.what(), &id));
   }
   pump_sink(connection);
 }
 
 void SchedServer::handle_close_session(Connection& connection,
                                        const util::Json& frame) {
-  const util::Json* id_value = frame.find("id");
-  std::string id;
+  const std::optional<std::string> admitted =
+      admit(connection, frame, "close_session", nullptr);
+  if (!admitted.has_value()) return;
+  const std::string& id = *admitted;
   std::uint64_t session = 0;
   try {
-    if (id_value == nullptr) {
-      throw std::runtime_error("close_session requires an \"id\"");
-    }
-    id = client_id_text(*id_value);
-    const util::Json* session_value = frame.find("session");
-    if (session_value == nullptr) {
-      throw std::runtime_error("close_session requires a \"session\"");
-    }
-    const long long raw = session_value->as_int();
-    if (raw <= 0) throw std::runtime_error("session must be a positive id");
-    session = static_cast<std::uint64_t>(raw);
+    session = session_field(frame, "close_session");
   } catch (const std::exception& error) {
-    send_frame(connection, error_frame("bad_request", error.what()));
+    send_frame(connection, error_frame("bad_request", error.what(), &id));
     return;
   }
   if (connection.sessions.erase(session) == 0) {
@@ -1195,31 +1081,20 @@ void SchedServer::handle_close_session(Connection& connection,
     return;
   }
   service_.close_session(session);
-  {
-    std::lock_guard<std::mutex> lock(counters_mutex_);
-    ++counters_.session_closes;
-  }
+  count(&ServerCounters::session_closes);
   send_frame(connection, ok_frame("close_session", id, session));
 }
 
 void SchedServer::handle_resume_session(Connection& connection,
                                         const util::Json& frame) {
-  const util::Json* id_value = frame.find("id");
-  std::string id;
+  const std::optional<std::string> admitted =
+      admit(connection, frame, "resume_session", nullptr);
+  if (!admitted.has_value()) return;
+  const std::string& id = *admitted;
   std::uint64_t session = 0;
   std::uint64_t epoch = 0;
   try {
-    if (id_value == nullptr) {
-      throw std::runtime_error("resume_session requires an \"id\"");
-    }
-    id = client_id_text(*id_value);
-    const util::Json* session_value = frame.find("session");
-    if (session_value == nullptr) {
-      throw std::runtime_error("resume_session requires a \"session\"");
-    }
-    const long long raw = session_value->as_int();
-    if (raw <= 0) throw std::runtime_error("session must be a positive id");
-    session = static_cast<std::uint64_t>(raw);
+    session = session_field(frame, "resume_session");
     const util::Json* epoch_value = frame.find("epoch");
     if (epoch_value == nullptr) {
       throw std::runtime_error("resume_session requires an \"epoch\"");
@@ -1236,15 +1111,11 @@ void SchedServer::handle_resume_session(Connection& connection,
       epoch = static_cast<std::uint64_t>(epoch_value->as_int());
     }
   } catch (const std::exception& error) {
-    send_frame(connection, error_frame("bad_request", error.what(),
-                                       id.empty() ? nullptr : &id));
+    send_frame(connection, error_frame("bad_request", error.what(), &id));
     return;
   }
   const auto reject = [&](const char* code, const std::string& message) {
-    {
-      std::lock_guard<std::mutex> lock(counters_mutex_);
-      ++counters_.resume_rejects;
-    }
+    count(&ServerCounters::resume_rejects);
     send_frame(connection, error_frame(code, message, &id));
   };
   if (draining()) {
@@ -1284,10 +1155,7 @@ void SchedServer::handle_resume_session(Connection& connection,
   }
   orphaned_sessions_.erase(session);
   connection.sessions.insert(session);
-  {
-    std::lock_guard<std::mutex> lock(counters_mutex_);
-    ++counters_.session_resumes;
-  }
+  count(&ServerCounters::session_resumes);
   send_frame(connection,
              session_ok_frame("resume_session", id, session, info->epoch,
                               info->revision, info->digest));

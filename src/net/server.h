@@ -34,6 +34,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -155,6 +156,15 @@ class SchedServer {
   void close_connection(detail::Connection& connection,
                         bool count_orphans = true);
   void handle_line(detail::Connection& connection, const std::string& line);
+  /// Admission preamble of every frame that names a request: the client id
+  /// (bad_request when missing or malformed) and, for a frame that starts
+  /// a request (`refusal` set), the duplicate_id and draining refusals —
+  /// the latter worded "server is draining and <refusal>". Returns nullopt
+  /// once the error frame is sent.
+  std::optional<std::string> admit(detail::Connection& connection,
+                                   const util::Json& frame,
+                                   const std::string& type,
+                                   const char* refusal);
   void handle_http(detail::Connection& connection, const std::string& line);
   void handle_submit(detail::Connection& connection, const util::Json& frame);
   void handle_cancel(detail::Connection& connection, const util::Json& frame);
@@ -167,6 +177,9 @@ class SchedServer {
                              const util::Json& frame);
   void sweep_orphans(bool close_all);
   void send_frame(detail::Connection& connection, std::string frame);
+  /// Adds `n` to one counter under counters_mutex_, so counters() stays
+  /// one consistent snapshot.
+  void count(std::uint64_t ServerCounters::*counter, std::uint64_t n = 1);
   void wake();
 
   ServerConfig config_;

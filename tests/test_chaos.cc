@@ -27,6 +27,7 @@
 
 #include "api/api.h"
 #include "api/serialize.h"
+#include "model/delta.h"
 #include "net/client.h"
 #include "net/server.h"
 #include "util/fault.h"
@@ -264,6 +265,7 @@ TEST(ChaosClientTest, RetryRecoversFromInjectedSendFailure) {
   EXPECT_GE(client.stats().attempts, 2u);
   EXPECT_GE(client.stats().reconnects, 1u);
   EXPECT_EQ(client.stats().recovered, 1u);
+  EXPECT_EQ(client.stats().resubmits, 1u);
   client.close();
   server.stop();
   server.wait();
@@ -283,6 +285,36 @@ TEST(ChaosClientTest, RetryGivesUpAfterMaxAttempts) {
                net::ConnectionError);
   EXPECT_EQ(client.stats().attempts, 3u);
   EXPECT_EQ(client.stats().recovered, 0u);
+  EXPECT_EQ(client.stats().resubmits, 0u);  // no connect ever succeeded
+  server.stop();
+  server.wait();
+}
+
+TEST(ChaosClientTest, SessionSurvivesARetriedSolveOnTheSameClient) {
+  FaultGuard guard;
+  HangWatchdog watchdog(60.0, "session across a retried solve test");
+  ServerConfig config = test_config();
+  config.session_linger_seconds = 30.0;
+  SchedServer server(config);
+  server.start();
+  RetryPolicy policy;
+  policy.max_attempts = 4;
+  policy.initial_backoff_seconds = 0.005;
+  policy.max_backoff_seconds = 0.02;
+  RetryingClient client("127.0.0.1", server.port(), policy);
+  ASSERT_TRUE(client.open_session(quick_request(), "s1").initial.ok());
+  // The solve's submit fails: its retry reconnects, which orphans the
+  // session on the old connection. The next delta must reclaim it there.
+  fault::configure("net.client.send=n1", 7);
+  EXPECT_TRUE(client.solve(quick_request(2), "solve-1").ok());
+  fault::disable();
+  model::Delta delta;
+  delta.machines_added = 1;
+  const api::SolveResult result = client.delta(delta, "d1");
+  EXPECT_TRUE(result.ok()) << result.error;
+  EXPECT_EQ(client.stats().resumes, 1u);
+  client.close_session();
+  client.close();
   server.stop();
   server.wait();
 }
@@ -344,6 +376,43 @@ TEST(ChaosServerTest, BudgetEscalatesStuckSolverToTimeoutError) {
   // result is suppressed at the sink. A short bounded read must time out.
   EXPECT_THROW(client.read_frame(0.6), net::TimedOut);
   EXPECT_GE(server.counters().request_timeouts, 1u);
+  client.close();
+  server.stop();
+  server.wait();
+}
+
+TEST(ChaosServerTest, IdReusedAfterEscalationGetsItsOwnResult) {
+  FaultGuard guard;
+  HangWatchdog watchdog(60.0, "id reuse after escalation test");
+  ServerConfig config = test_config();
+  config.request_budget_seconds = 0.05;
+  config.stuck_grace_seconds = 0.05;
+  SchedServer server(config);
+  server.start();
+  fault::configure("solver.stall.exact=e1", 11);
+  auto client = Client::connect("127.0.0.1", server.port());
+  // Reads until the terminal frame of "stuck": "finished:<solver>" or
+  // "error:<code>".
+  const auto terminal = [&client]() -> std::string {
+    for (;;) {
+      auto frame = client.read_frame(/*timeout_seconds=*/30.0);
+      if (!frame.has_value()) return "closed";
+      const std::string type = frame->string_or("type", "");
+      if (type == "error") return "error:" + frame->string_or("code", "");
+      if (type == "event" && frame->string_or("event", "") == "finished") {
+        return "finished:" + frame->at("result").string_or("solver", "");
+      }
+    }
+  };
+  client.submit(slow_request(), "stuck");
+  ASSERT_EQ(terminal(), "error:timeout");
+  // The escalated solve is still stalled in the exact solver; the id is
+  // free on the wire again, and its new request must get its own result.
+  client.submit(quick_request(), "stuck");
+  EXPECT_EQ(terminal(), "finished:greedy-bags");
+  // The stalled solve's late result stays suppressed.
+  EXPECT_THROW(client.read_frame(0.6), net::TimedOut);
+  EXPECT_EQ(server.counters().request_timeouts, 1u);
   client.close();
   server.stop();
   server.wait();

@@ -416,6 +416,31 @@ TEST(NetServerTest, MetricsEndpointServesPrometheusText) {
   server.wait();
 }
 
+TEST(NetServerTest, MetricsCoverEveryStatsFrameField) {
+  SchedServer server(test_config());
+  server.start();
+  auto client = Client::connect("127.0.0.1", server.port());
+  const Json stats = client.stats();
+  const std::string body = net::fetch_metrics("127.0.0.1", server.port());
+  std::size_t fields = 0;
+  for (const char* section : {"service", "cache", "server"}) {
+    for (const auto& [key, value] : stats.at(section).as_object()) {
+      const std::string family = std::string("bagsched_") + section + "_" +
+                                 key;
+      EXPECT_TRUE(body.find("# TYPE " + family + " gauge\n") !=
+                      std::string::npos ||
+                  body.find("# TYPE " + family + "_total counter\n") !=
+                      std::string::npos)
+          << family << " is in the stats frame but not at /metrics";
+      ++fields;
+    }
+  }
+  EXPECT_GE(fields, 40u);
+  client.close();
+  server.stop();
+  server.wait();
+}
+
 TEST(NetServerTest, ManyConcurrentClientsAllGetTheirResults) {
   // The acceptance bar: >= 64 clients served concurrently on one poll
   // loop, every one getting its own correct result back.

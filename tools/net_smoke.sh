@@ -112,6 +112,7 @@ port="$(sed -n 's/^listening on .*:\([0-9]*\)$/\1/p' "$work/server3.log")"
   >"$work/recovery.txt"
 grep -q "^bagsched_journal_records_replayed_total [1-9]" "$work/recovery.txt"
 grep -q "^bagsched_server_sessions_orphaned_total 1$" "$work/recovery.txt"
+grep -q "^bagsched_service_sessions_restored_total 1$" "$work/recovery.txt"
 ! grep -q "^#" "$work/recovery.txt"  # --recovery strips comment lines
 
 kill -TERM "$server_pid"
