@@ -21,8 +21,26 @@ const api::Solver& eptas() {
 
 void print_scaling_table(bagsched::bench::Harness& harness) {
   const int reps = harness.reps(3);
-  bagsched::util::Table table(
-      {"sweep", "n", "m", "eps", "seconds", "guesses", "columns"});
+  bagsched::util::Table table({"sweep", "n", "m", "eps", "seconds", "guesses",
+                               "columns", "pricing_rounds", "lp_iterations"});
+  // The column-generation work counters next to the timing: rounds and
+  // simplex iterations of the final probe's pattern master.
+  const char* const counters[] = {"guesses", "columns", "pricing_rounds",
+                                  "lp_iterations"};
+  const auto record = [&](bagsched::bench::CaseResult& entry,
+                          const api::SolveResult& result,
+                          const std::string& sweep, int n, int m,
+                          double eps) {
+    entry.metrics.set("n", static_cast<long long>(n));
+    entry.metrics.set("m", static_cast<long long>(m));
+    entry.metrics.set("eps", eps);
+    table.row().add(sweep).add(n).add(m).add(eps, 3).add(
+        entry.median_seconds, 4);
+    for (const char* counter : counters) {
+      entry.metrics.set(counter, api::stat_int(result.stats, counter));
+      table.add(api::stat_int(result.stats, counter));
+    }
+  };
   // n-sweep at fixed eps = 1/2.
   for (const int scale : {1, 2, 4, 8}) {
     const int m = 4 * scale;
@@ -37,20 +55,7 @@ void print_scaling_table(bagsched::bench::Harness& harness) {
     auto& entry = harness.run_case(
         "n-sweep/m" + std::to_string(m), reps,
         [&] { result = eptas().solve(planted.instance, {.eps = 0.5}); });
-    entry.metrics.set("n",
-                      static_cast<long long>(planted.instance.num_jobs()));
-    entry.metrics.set("m", static_cast<long long>(m));
-    entry.metrics.set("eps", 0.5);
-    entry.metrics.set("guesses", api::stat_int(result.stats, "guesses"));
-    entry.metrics.set("columns", api::stat_int(result.stats, "columns"));
-    table.row()
-        .add("n")
-        .add(planted.instance.num_jobs())
-        .add(m)
-        .add(0.5, 3)
-        .add(entry.median_seconds, 4)
-        .add(api::stat_int(result.stats, "guesses"))
-        .add(api::stat_int(result.stats, "columns"));
+    record(entry, result, "n", planted.instance.num_jobs(), m, 0.5);
   }
   // eps-sweep at fixed shape.
   for (const double eps : {0.8, 0.6, 0.5, 0.4, 1.0 / 3.0}) {
@@ -65,20 +70,7 @@ void print_scaling_table(bagsched::bench::Harness& harness) {
     auto& entry = harness.run_case(
         "eps-sweep/" + std::to_string(eps).substr(0, 5), reps,
         [&] { result = eptas().solve(planted.instance, {.eps = eps}); });
-    entry.metrics.set("n",
-                      static_cast<long long>(planted.instance.num_jobs()));
-    entry.metrics.set("m", 8);
-    entry.metrics.set("eps", eps);
-    entry.metrics.set("guesses", api::stat_int(result.stats, "guesses"));
-    entry.metrics.set("columns", api::stat_int(result.stats, "columns"));
-    table.row()
-        .add("eps")
-        .add(planted.instance.num_jobs())
-        .add(8)
-        .add(eps, 3)
-        .add(entry.median_seconds, 4)
-        .add(api::stat_int(result.stats, "guesses"))
-        .add(api::stat_int(result.stats, "columns"));
+    record(entry, result, "eps", planted.instance.num_jobs(), 8, eps);
   }
   std::cout << "\n=== E2 / Theorem 1: runtime scaling ===\n";
   table.write_aligned(std::cout);

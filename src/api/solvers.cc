@@ -119,6 +119,8 @@ class EptasSolver final : public Solver {
     result.stats["columns"] = static_cast<long long>(stats.columns);
     result.stats["pricing_rounds"] =
         static_cast<long long>(stats.pricing_rounds);
+    result.stats["pricing_capped"] =
+        static_cast<long long>(stats.pricing_capped);
     result.stats["lp_iterations"] = stats.lp_iterations;
     result.stats["milp_nodes"] = stats.milp_nodes;
     result.stats["swaps"] = static_cast<long long>(stats.swaps);

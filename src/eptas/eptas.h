@@ -41,6 +41,10 @@ struct EptasStats {
   // Accumulated over the successful guess:
   int columns = 0;
   int pricing_rounds = 0;
+  /// Pricing rounds cut at PricingOptions::max_nodes: their column is the
+  /// best one found so far, and a capped round that finds none ends column
+  /// generation without proving the master LP optimal.
+  int pricing_capped = 0;
   long long lp_iterations = 0;
   long long milp_nodes = 0;
   int swaps = 0;           ///< Lemma 7 swap repairs

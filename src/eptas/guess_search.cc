@@ -177,6 +177,7 @@ PipelineResult run_pipeline(const Instance& instance, double eps,
   if (stats != nullptr) {
     stats->columns = master->stats.columns;
     stats->pricing_rounds = master->stats.pricing_rounds;
+    stats->pricing_capped = master->stats.pricing_capped;
     stats->lp_iterations = master->stats.lp_iterations;
     stats->milp_nodes = master->stats.milp_nodes;
     stats->swaps = placement->swaps;

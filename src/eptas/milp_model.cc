@@ -59,19 +59,47 @@ MasterShape compute_shape(const PatternSpace& space,
   return shape;
 }
 
-/// Builds the master model for the given pattern pool. Returns the model,
-/// the variable index of the first pattern column (they are contiguous) and
-/// the indices of the penalty variables.
+/// The master LP/MILP of one probe. Built once: the rows and their penalty
+/// variables first, then one column per pattern through
+/// lp::Model::add_column, so pattern p is variable first_pattern_var + p
+/// and priced patterns append to the same model.
 struct BuiltMaster {
   lp::Model model;
   int first_pattern_var = 0;
   std::vector<int> penalty_vars;
-  // Row ids for dual extraction.
+  // Row ids for dual extraction and column terms.
   int row_machine = 0;
   std::vector<std::vector<int>> rows_priority;  ///< per (pbag, size)
   std::vector<int> rows_x;
   int row_area = 0;
   std::vector<int> rows_small;  ///< -1 when the bag has no small jobs
+
+  /// Appends the pattern's column as the next variable.
+  void add_pattern(const PatternSpace& space, const Pattern& pattern) {
+    std::vector<std::pair<int, double>> terms;
+    terms.emplace_back(row_machine, 1.0);  // R1
+    for (int i = 0; i < space.num_priority(); ++i) {
+      const int choice = pattern.pchoice[static_cast<std::size_t>(i)];
+      if (choice < 0) continue;
+      terms.emplace_back(rows_priority[static_cast<std::size_t>(i)]
+                                      [static_cast<std::size_t>(choice)],
+                         1.0);  // R2
+    }
+    for (int s = 0; s < space.num_x_sizes(); ++s) {
+      const int count = pattern.xcount[static_cast<std::size_t>(s)];
+      if (count > 0) {
+        terms.emplace_back(rows_x[static_cast<std::size_t>(s)], count);  // R3
+      }
+    }
+    terms.emplace_back(row_area, pattern.height);  // R4 (zero is dropped)
+    for (int i = 0; i < space.num_priority(); ++i) {
+      const int row = rows_small[static_cast<std::size_t>(i)];
+      if (row >= 0 && pattern.contains_priority(i)) {
+        terms.emplace_back(row, 1.0);  // R5
+      }
+    }
+    model.add_column(pattern_cost(pattern), terms);
+  }
 };
 
 BuiltMaster build_master(const PatternSpace& space, const MasterShape& shape,
@@ -80,21 +108,9 @@ BuiltMaster build_master(const PatternSpace& space, const MasterShape& shape,
   lp::Model& model = built.model;
   model.set_objective(lp::Objective::Minimize);
 
-  built.first_pattern_var = 0;
-  for (const Pattern& pattern : pool) {
-    model.add_variable(pattern_cost(pattern));
-  }
-
   // R1: sum x_p <= m.
-  {
-    std::vector<std::pair<int, double>> terms;
-    for (std::size_t p = 0; p < pool.size(); ++p) {
-      terms.emplace_back(static_cast<int>(p), 1.0);
-    }
-    built.row_machine = model.add_constraint(std::move(terms),
-                                             lp::Sense::LessEqual,
-                                             shape.num_machines);
-  }
+  built.row_machine =
+      model.add_constraint({}, lp::Sense::LessEqual, shape.num_machines);
 
   // R2: priority coverage (with penalty).
   built.rows_priority.resize(
@@ -102,49 +118,26 @@ BuiltMaster build_master(const PatternSpace& space, const MasterShape& shape,
   for (int i = 0; i < space.num_priority(); ++i) {
     const auto& pbag = space.priority_bags[static_cast<std::size_t>(i)];
     for (std::size_t s = 0; s < pbag.sizes.size(); ++s) {
-      std::vector<std::pair<int, double>> terms;
-      for (std::size_t p = 0; p < pool.size(); ++p) {
-        if (pool[p].pchoice[static_cast<std::size_t>(i)] ==
-            static_cast<int>(s)) {
-          terms.emplace_back(static_cast<int>(p), 1.0);
-        }
-      }
       const int penalty = model.add_variable(kPenaltyCost);
       built.penalty_vars.push_back(penalty);
-      terms.emplace_back(penalty, 1.0);
       built.rows_priority[static_cast<std::size_t>(i)].push_back(
-          model.add_constraint(std::move(terms), lp::Sense::GreaterEqual,
+          model.add_constraint({{penalty, 1.0}}, lp::Sense::GreaterEqual,
                                pbag.counts[s]));
     }
   }
 
   // R3: x-size coverage (with penalty).
   for (int s = 0; s < space.num_x_sizes(); ++s) {
-    std::vector<std::pair<int, double>> terms;
-    for (std::size_t p = 0; p < pool.size(); ++p) {
-      const int count = pool[p].xcount[static_cast<std::size_t>(s)];
-      if (count > 0) terms.emplace_back(static_cast<int>(p), count);
-    }
     const int penalty = model.add_variable(kPenaltyCost);
     built.penalty_vars.push_back(penalty);
-    terms.emplace_back(penalty, 1.0);
     built.rows_x.push_back(model.add_constraint(
-        std::move(terms), lp::Sense::GreaterEqual,
+        {{penalty, 1.0}}, lp::Sense::GreaterEqual,
         space.x_avail[static_cast<std::size_t>(s)]));
   }
 
   // R4: aggregate free-area.
-  {
-    std::vector<std::pair<int, double>> terms;
-    for (std::size_t p = 0; p < pool.size(); ++p) {
-      if (pool[p].height > 0.0) {
-        terms.emplace_back(static_cast<int>(p), pool[p].height);
-      }
-    }
-    built.row_area = model.add_constraint(std::move(terms),
-                                          lp::Sense::LessEqual,
-                                          shape.free_area_rhs);
-  }
+  built.row_area = model.add_constraint({}, lp::Sense::LessEqual,
+                                        shape.free_area_rhs);
 
   // R5: per priority bag with small jobs.
   built.rows_small.assign(static_cast<std::size_t>(space.num_priority()),
@@ -153,16 +146,12 @@ BuiltMaster build_master(const PatternSpace& space, const MasterShape& shape,
     const int small_count =
         shape.priority_small_count[static_cast<std::size_t>(i)];
     if (small_count == 0) continue;
-    std::vector<std::pair<int, double>> terms;
-    for (std::size_t p = 0; p < pool.size(); ++p) {
-      if (pool[p].contains_priority(i)) {
-        terms.emplace_back(static_cast<int>(p), 1.0);
-      }
-    }
     built.rows_small[static_cast<std::size_t>(i)] = model.add_constraint(
-        std::move(terms), lp::Sense::LessEqual,
-        shape.num_machines - small_count);
+        {}, lp::Sense::LessEqual, shape.num_machines - small_count);
   }
+
+  built.first_pattern_var = model.num_variables();
+  for (const Pattern& pattern : pool) built.add_pattern(space, pattern);
   return built;
 }
 
@@ -272,30 +261,36 @@ std::optional<MasterSolution> solve_master(
   }
 
   // --- Column generation at the root ---------------------------------------
+  // One model and one simplex tableau for the whole probe: each priced
+  // pattern is appended as a column and the next LP continues from the
+  // previous optimal basis, which the new column leaves primal feasible.
+  BuiltMaster built = build_master(space, shape, pool);
+  lp::IncrementalSimplex master_lp(built.model);
   const int max_rounds = 80;
   for (int round = 0; round < max_rounds; ++round) {
     if (util::stop_requested(config.milp.cancel)) break;
     if (static_cast<int>(pool.size()) >= config.max_milp_patterns) break;
-    BuiltMaster built = build_master(space, shape, pool);
-    const lp::LpResult lp_result = lp::solve(built.model);
+    const lp::LpResult lp_result = master_lp.resolve(built.model);
     stats.lp_iterations += lp_result.iterations;
     if (lp_result.status != lp::SolveStatus::Optimal) break;
     ++stats.pricing_rounds;
 
     const PricingDuals duals = extract_duals(space, built, lp_result);
-    const auto column = price_pattern(space, duals);
+    bool capped = false;
+    const auto column = price_pattern(space, duals, {}, &capped);
+    if (capped) ++stats.pricing_capped;
     if (!column) break;  // LP optimal over all patterns
     if (!signatures.insert(column->signature()).second) break;  // repeat
     pool.push_back(*column);
+    built.add_pattern(space, *column);
   }
   stats.columns = static_cast<int>(pool.size());
 
   // --- Integral solve over the generated pool ------------------------------
-  BuiltMaster built = build_master(space, shape, pool);
   std::vector<int> integer_vars;
   integer_vars.reserve(pool.size());
   for (std::size_t p = 0; p < pool.size(); ++p) {
-    integer_vars.push_back(static_cast<int>(p));
+    integer_vars.push_back(built.first_pattern_var + static_cast<int>(p));
   }
   const milp::MilpResult milp_result =
       milp::solve(built.model, integer_vars, config.milp);
@@ -313,8 +308,8 @@ std::optional<MasterSolution> solve_master(
 
   MasterSolution solution;
   for (std::size_t p = 0; p < pool.size(); ++p) {
-    const int count = static_cast<int>(
-        std::llround(milp_result.x[static_cast<std::size_t>(p)]));
+    const int count = static_cast<int>(std::llround(
+        milp_result.x[static_cast<std::size_t>(integer_vars[p])]));
     if (count > 0) {
       solution.patterns.push_back(pool[p]);
       solution.multiplicity.push_back(count);

@@ -35,6 +35,8 @@ namespace bagsched::eptas {
 struct MasterStats {
   int columns = 0;
   int pricing_rounds = 0;
+  /// Pricing rounds whose search stopped at PricingOptions::max_nodes.
+  int pricing_capped = 0;
   long long lp_iterations = 0;
   long long milp_nodes = 0;
   /// Warm-start columns accepted into the pool (cross-guess reuse).

@@ -185,6 +185,8 @@ class Pricer {
     return std::nullopt;
   }
 
+  bool capped() const { return nodes_ > options_.max_nodes; }
+
  private:
   /// Linear part of the gain of one priority entry (excluding quadratic
   /// cost): coverage dual + block dual + area dual * size.
@@ -290,9 +292,12 @@ class Pricer {
 
 std::optional<Pattern> price_pattern(const PatternSpace& space,
                                      const PricingDuals& duals,
-                                     const PricingOptions& options) {
+                                     const PricingOptions& options,
+                                     bool* capped) {
   Pricer pricer(space, duals, options);
-  return pricer.run();
+  auto column = pricer.run();
+  if (capped != nullptr) *capped = pricer.capped();
+  return column;
 }
 
 }  // namespace bagsched::eptas

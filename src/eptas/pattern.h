@@ -89,10 +89,14 @@ struct PricingOptions {
 
 /// Finds a pattern maximizing  sum(duals * column) - cost(pattern)  where
 /// cost(p) = height(p)^2 (the master objective). Returns nullopt when no
-/// pattern beats the tolerance, i.e. the master LP is optimal.
+/// pattern beats the tolerance, i.e. the master LP is optimal. When the
+/// search stops at options.max_nodes it returns the best pattern seen so
+/// far (nullopt then proves nothing). `*capped`, when given, says whether
+/// that happened.
 std::optional<Pattern> price_pattern(const PatternSpace& space,
                                      const PricingDuals& duals,
-                                     const PricingOptions& options = {});
+                                     const PricingOptions& options = {},
+                                     bool* capped = nullptr);
 
 /// cost(p) = height^2: prefers spreading ml jobs over stacking them, which
 /// is what keeps room for small jobs (paper constraint (4) in spirit).

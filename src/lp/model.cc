@@ -39,6 +39,26 @@ int Model::add_constraint(std::vector<std::pair<int, double>> terms,
   return num_constraints() - 1;
 }
 
+int Model::add_column(double objective_coeff,
+                      const std::vector<std::pair<int, double>>& row_terms) {
+  std::vector<bool> seen(constraints_.size(), false);
+  for (const auto& [row, coeff] : row_terms) {
+    if (row < 0 || row >= num_constraints() ||
+        seen[static_cast<std::size_t>(row)]) {
+      throw std::invalid_argument("Model: column has unknown/duplicate row");
+    }
+    seen[static_cast<std::size_t>(row)] = true;
+  }
+  const int var = add_variable(objective_coeff);
+  for (const auto& [row, coeff] : row_terms) {
+    if (coeff != 0.0) {
+      constraints_[static_cast<std::size_t>(row)].terms.emplace_back(var,
+                                                                     coeff);
+    }
+  }
+  return var;
+}
+
 double Model::objective_value(const std::vector<double>& x) const {
   double value = 0.0;
   for (int v = 0; v < num_variables(); ++v) {

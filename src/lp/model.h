@@ -42,6 +42,14 @@ class Model {
   int add_constraint(std::vector<std::pair<int, double>> terms, Sense sense,
                      double rhs);
 
+  /// Adds a variable (bounds [0, inf)) together with its coefficients in
+  /// existing rows (row index, coeff); returns its index. Column generation
+  /// appends priced columns this way, and lp::IncrementalSimplex picks them
+  /// up on its next resolve. Zero coefficients are dropped; duplicate or
+  /// unknown rows throw.
+  int add_column(double objective_coeff,
+                 const std::vector<std::pair<int, double>>& row_terms);
+
   void set_objective(Objective objective) { objective_ = objective; }
   Objective objective() const { return objective_; }
 

@@ -350,6 +350,66 @@ class Tableau {
     }
   }
 
+  /// Appends structural columns (standardized sparse (row, coeff) lists,
+  /// row flips applied) to a solved tableau. Each new column enters
+  /// nonbasic at its lower bound as B^-1 a, read off the artificial block
+  /// (column r of B^-1 is the artificial column of row r), so the current
+  /// basic solution is unchanged and stays primal feasible. The new
+  /// columns sit between the old structurals and the slack block; every
+  /// index into the slack/artificial block shifts accordingly. Reduced
+  /// costs are stale afterwards: reoptimize() rebuilds them.
+  void append_structural(
+      const std::vector<std::vector<std::pair<int, double>>>& columns) {
+    const auto added = static_cast<int>(columns.size());
+    const auto old_stride = static_cast<std::size_t>(num_cols_) + 1;
+    const auto new_stride = old_stride + columns.size();
+    const auto split = static_cast<std::size_t>(num_structural_);
+    std::vector<double> grown(static_cast<std::size_t>(num_rows_) *
+                              new_stride);
+    for (int r = 0; r < num_rows_; ++r) {
+      const double* src = &matrix_[static_cast<std::size_t>(r) * old_stride];
+      double* dst = &grown[static_cast<std::size_t>(r) * new_stride];
+      std::copy(src, src + split, dst);
+      std::copy(src + split, src + old_stride, dst + split + columns.size());
+      for (std::size_t k = 0; k < columns.size(); ++k) {
+        double value = 0.0;
+        for (const auto& [row, a] : columns[k]) {
+          value += a * src[first_artificial_ + row];
+        }
+        dst[split + k] = value;
+      }
+    }
+    matrix_.swap(grown);
+    for (int& col : basis_) {
+      if (col >= num_structural_) col += added;
+    }
+    for (int& col : dual_column_) {
+      if (col >= num_structural_) col += added;
+    }
+    const auto widen = [&](auto& per_column, auto value) {
+      per_column.insert(per_column.begin() + num_structural_, columns.size(),
+                        value);
+    };
+    widen(upper_, kInf);
+    widen(at_upper_, static_cast<unsigned char>(0));
+    widen(in_basis_, static_cast<unsigned char>(0));
+    widen(cost_, 0.0);
+    widen(reduced_, 0.0);
+    num_structural_ += added;
+    first_artificial_ += added;
+    num_cols_ += added;
+  }
+
+  /// True when phase 1 left an artificial basic (a redundant row). An
+  /// appended column may make that row non-redundant, which the artificial
+  /// block cannot represent; callers cold-start instead.
+  bool artificial_basic() const {
+    for (const int col : basis_) {
+      if (col >= first_artificial_) return true;
+    }
+    return false;
+  }
+
   /// Writes all structural values at once (x must have num_structural
   /// entries): nonbasic columns contribute their bound, basic rows their
   /// current value.
@@ -774,13 +834,18 @@ struct IncrementalSimplex::Impl {
             static_cast<int>(r), coeff);
       }
     }
-    cost.assign(static_cast<std::size_t>(n), 0.0);
-    const bool maximize = model.objective() == Objective::Maximize;
-    for (int v = 0; v < n; ++v) {
-      const double c = model.variable(v).objective;
-      cost[static_cast<std::size_t>(v)] = maximize ? -c : c;
-    }
+    cost.clear();
+    push_costs(model, 0);
     tableau = std::make_unique<Tableau>(rows, n, options);
+  }
+
+  /// Appends the minimization-oriented cost of every variable from `from`.
+  void push_costs(const Model& model, int from) {
+    const bool maximize = model.objective() == Objective::Maximize;
+    for (int v = from; v < model.num_variables(); ++v) {
+      const double c = model.variable(v).objective;
+      cost.push_back(maximize ? -c : c);
+    }
   }
 
   /// Standardized RHS under the model's current bounds, using the flip
@@ -808,13 +873,45 @@ struct IncrementalSimplex::Impl {
     return result;
   }
 
+  /// Adopts the variables appended to `model` since the last resolve:
+  /// extends the standardized rows, column lists and costs with the setup
+  /// flips, then appends the tableau columns. Returns false when the
+  /// tableau cannot take them (see Tableau::artificial_basic).
+  bool append_columns(const Model& model) {
+    if (tableau->artificial_basic()) return false;
+    const int grown = model.num_variables();
+    std::vector<std::vector<std::pair<int, double>>> columns(
+        static_cast<std::size_t>(grown - n));
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      const double f = rows[r].flipped ? -1.0 : 1.0;
+      for (const auto& [var, coeff] :
+           model.constraint(static_cast<int>(r)).terms) {
+        if (var < n) continue;
+        columns[static_cast<std::size_t>(var - n)].emplace_back(
+            static_cast<int>(r), f * coeff);
+        rows[r].terms.emplace_back(var, f * coeff);
+      }
+    }
+    push_costs(model, n);
+    structural_cols.insert(structural_cols.end(), columns.begin(),
+                           columns.end());
+    tableau->append_structural(columns);
+    n = grown;
+    return true;
+  }
+
   LpResult resolve(const Model& model) {
     long long iterations = 0;
     if (bounds_crossed(model, options.tolerance)) {
       LpResult result;
       result.status = SolveStatus::Infeasible;
-      result.x.assign(static_cast<std::size_t>(n), 0.0);
+      result.x.assign(static_cast<std::size_t>(model.num_variables()), 0.0);
       return result;
+    }
+    const bool appended = ready && model.num_variables() > n;
+    if (model.num_constraints() != static_cast<int>(rows.size()) ||
+        model.num_variables() < n || (appended && !append_columns(model))) {
+      ready = false;
     }
     if (!ready) {
       // Cold start: standardize fresh (RHS >= 0 under the current bounds
@@ -835,14 +932,24 @@ struct IncrementalSimplex::Impl {
     tableau->set_structural_uppers(uppers);
     compute_rhs(model);
     tableau->update_rhs(std_rhs, structural_cols);
-    if (!tableau->dual_feasible()) {
-      // An abandoned primal iteration (LP iteration limit) can leave the
-      // basis dual infeasible; rebuild once from scratch.
+    // Bound changes alone keep the basis dual feasible: dual-simplex repair.
+    // Appended columns keep it primal feasible instead: reoptimize()
+    // reprices every column and finishes with primal iterations (or repairs
+    // when nothing new prices out).
+    std::optional<SolveStatus> status;
+    if (appended) {
+      status = tableau->reoptimize(cost, iterations);
+    } else if (tableau->dual_feasible()) {
+      status = tableau->repair_and_iterate(iterations);
+    }
+    if (!status) {
+      // Neither kind of warm state survived (an abandoned primal iteration
+      // on the LP iteration limit, or appends together with bound changes
+      // that broke both feasibilities): rebuild once from scratch.
       ready = false;
       return resolve(model);
     }
-    const SolveStatus status = tableau->repair_and_iterate(iterations);
-    return extract(model, status, iterations);
+    return extract(model, *status, iterations);
   }
 };
 

@@ -13,7 +13,10 @@
 //    tightenings never change the tableau shape — the property the warm
 //    starts and the persistent IncrementalSimplex build on;
 //  * dual-simplex repair pivots for warm starts: a previously optimal
-//    basis stays dual feasible under pure bound/RHS changes.
+//    basis stays dual feasible under pure bound/RHS changes;
+//  * column appends for column generation: a new column enters nonbasic
+//    at its lower bound, so a previously optimal basis stays primal
+//    feasible and primal iterations finish the re-solve.
 #pragma once
 
 #include <memory>
@@ -68,17 +71,23 @@ struct SimplexOptions {
 LpResult solve(const Model& model, const SimplexOptions& options = {},
                const Basis* warm_basis = nullptr);
 
-/// Persistent simplex for branch-and-bound: one tableau kept across many
-/// re-solves of the same model under changing variable bounds.
+/// Persistent simplex: one tableau kept across many re-solves of one
+/// growing model. It serves both branch-and-bound and column generation,
+/// through two kinds of re-solve:
 ///
-/// Bound tightenings change only the standardized right-hand side, never
-/// the matrix, so each resolve() recomputes the basic solution through the
-/// implicit inverse basis (O(rows^2)) and repairs primal feasibility with
-/// a handful of dual-simplex pivots — no model copy, no re-standardization
-/// and no phase 1. Requires that re-solves only tighten bounds and that
-/// every variable acquiring a finite upper bound already had one at
-/// construction (otherwise the standardized row structure would change —
-/// callers like milp::solve check this precondition up front).
+///  * Bound changes. They change only the standardized right-hand side,
+///    never the matrix, so resolve() recomputes the basic solution through
+///    the implicit inverse basis (O(rows^2)) and repairs primal feasibility
+///    with a handful of dual-simplex pivots from the still dual-feasible
+///    basis.
+///  * Appended columns (Model::add_column). resolve() builds each new
+///    tableau column as B^-1 a from the artificial block, with the row
+///    flips fixed at the first solve applied, reprices every column and
+///    runs primal iterations from the still primal-feasible basis.
+///
+/// Neither needs a model copy, re-standardization or phase 1. Rows may not
+/// be added (that, or a state neither re-solve can continue from, costs
+/// one cold solve).
 class IncrementalSimplex {
  public:
   explicit IncrementalSimplex(const Model& model,
@@ -87,9 +96,9 @@ class IncrementalSimplex {
   IncrementalSimplex(IncrementalSimplex&&) noexcept;
   IncrementalSimplex& operator=(IncrementalSimplex&&) noexcept;
 
-  /// Re-solves against the variable bounds currently stored in `model`
-  /// (which must be the construction model, possibly with tightened
-  /// bounds). The first call performs the one full cold solve.
+  /// Re-solves against `model`: the construction model, possibly with
+  /// tightened variable bounds and with variables appended through
+  /// Model::add_column. The first call performs the one full cold solve.
   LpResult resolve(const Model& model);
 
  private:

@@ -113,10 +113,13 @@ MilpResult solve(const lp::Model& root_model,
     }
   }
 
-  // One persistent tableau for the whole search when the structure allows
-  // it (every branched variable must already have a finite upper bound, so
-  // bound tightening can never add standardized rows). Otherwise each node
-  // re-solves with the parent basis as a warm start.
+  // One persistent tableau for the whole search when every branched
+  // variable has a finite upper bound; otherwise each node re-solves with
+  // the parent basis as a warm start. IncrementalSimplex itself accepts
+  // infinite upper bounds (bounds never add standardized rows), so this
+  // fork is historical: the models with an unbounded integer variable
+  // (e.g. the pattern master) have simply not been moved to the
+  // persistent tableau yet.
   bool incremental_ok = true;
   for (const int var : integer_variables) {
     if (!std::isfinite(work.variable(var).upper)) {

@@ -85,6 +85,12 @@ TEST(GuessSearchTest, IdenticalResultsAcrossThreadCounts) {
                   reference.stats.columns_warm_started);
         EXPECT_EQ(parallel.stats.pricing_rounds_saved,
                   reference.stats.pricing_rounds_saved);
+        EXPECT_EQ(parallel.stats.pricing_rounds,
+                  reference.stats.pricing_rounds);
+        EXPECT_EQ(parallel.stats.pricing_capped,
+                  reference.stats.pricing_capped);
+        EXPECT_EQ(parallel.stats.lp_iterations,
+                  reference.stats.lp_iterations);
         EXPECT_EQ(parallel.stats.threads_used, threads);
       }
     }

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "lp/model.h"
 #include "lp/simplex.h"
@@ -163,6 +165,23 @@ TEST(SimplexTest, DegenerateLpTerminates) {
   EXPECT_NEAR(result.objective, std::pow(5.0, n), 1e-4);
 }
 
+TEST(ModelTest, AddColumnWritesIntoExistingRows) {
+  Model model;
+  const int x = model.add_variable(1.0);
+  model.add_constraint({{x, 1.0}}, Sense::LessEqual, 4.0);
+  model.add_constraint({{x, 2.0}}, Sense::GreaterEqual, 1.0);
+  const int y = model.add_column(3.0, {{1, 5.0}, {0, 0.0}});
+  EXPECT_EQ(y, 1);
+  EXPECT_EQ(model.variable(y).objective, 3.0);
+  EXPECT_EQ(model.constraint(0).terms.size(), 1u);  // zero dropped
+  ASSERT_EQ(model.constraint(1).terms.size(), 2u);
+  EXPECT_EQ(model.constraint(1).terms.back(), std::make_pair(y, 5.0));
+  EXPECT_THROW(model.add_column(1.0, {{2, 1.0}}), std::invalid_argument);
+  EXPECT_THROW(model.add_column(1.0, {{0, 1.0}, {0, 1.0}}),
+               std::invalid_argument);
+  EXPECT_EQ(model.num_variables(), 2);  // rejected columns add nothing
+}
+
 class RandomLpTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(RandomLpTest, ReturnedPointIsFeasibleAndNoWorseThanSamples) {
@@ -200,6 +219,96 @@ TEST_P(RandomLpTest, ReturnedPointIsFeasibleAndNoWorseThanSamples) {
       EXPECT_GE(model.objective_value(sample), result.objective - 1e-6);
     }
   }
+}
+
+TEST_P(RandomLpTest, AppendedColumnsMatchColdSolve) {
+  // Column generation on the persistent tableau: start from two of the
+  // columns, append the rest one per resolve, then tighten a bound. Every
+  // resolve must match a cold solve of the grown model, and its duals must
+  // price every column out (no negative reduced cost), which is the
+  // stopping rule column generation relies on. Odd rows are written as
+  // -a.x >= -b, the same half-space with a negative RHS, so the row flips
+  // fixed at the first solve are exercised too.
+  util::Xoshiro256 rng(static_cast<std::uint64_t>(GetParam()));
+  const int n = 5;
+  const int rows = 6;
+  std::vector<double> cost(n);
+  for (double& c : cost) c = rng.uniform_real(-3.0, 3.0);
+  std::vector<std::vector<double>> a(rows, std::vector<double>(n));
+  std::vector<double> rhs(rows);
+  for (int r = 0; r < rows; ++r) {
+    const double sign = r % 2 == 0 ? 1.0 : -1.0;
+    for (double& coeff : a[static_cast<std::size_t>(r)]) {
+      coeff = sign * rng.uniform_real(0.0, 2.0);
+    }
+    rhs[static_cast<std::size_t>(r)] = sign * rng.uniform_real(1.0, 5.0);
+  }
+  const auto column = [&](int j) {
+    std::vector<std::pair<int, double>> terms;
+    for (int r = 0; r < rows; ++r) {
+      terms.emplace_back(r, a[static_cast<std::size_t>(r)]
+                             [static_cast<std::size_t>(j)]);
+    }
+    return terms;
+  };
+  const int initial = 2;
+  Model model;
+  for (int j = 0; j < initial; ++j) {
+    model.add_variable(cost[static_cast<std::size_t>(j)]);
+  }
+  for (int r = 0; r < rows; ++r) {
+    std::vector<std::pair<int, double>> terms;
+    for (int j = 0; j < initial; ++j) {
+      terms.emplace_back(j, a[static_cast<std::size_t>(r)]
+                             [static_cast<std::size_t>(j)]);
+    }
+    model.add_constraint(std::move(terms),
+                         r % 2 == 0 ? Sense::LessEqual : Sense::GreaterEqual,
+                         rhs[static_cast<std::size_t>(r)]);
+  }
+
+  lp::IncrementalSimplex incremental(model);
+  lp::LpResult warm;
+  const auto check = [&](const std::string& step) {
+    warm = incremental.resolve(model);
+    const auto cold = lp::solve(model);
+    ASSERT_EQ(cold.status, SolveStatus::Optimal) << step;
+    ASSERT_EQ(warm.status, SolveStatus::Optimal) << step;
+    EXPECT_NEAR(warm.objective, cold.objective, 1e-7) << step;
+    EXPECT_LE(model.max_violation(warm.x), 1e-6) << step;
+  };
+  ASSERT_NO_FATAL_FAILURE(check("initial"));
+  for (int j = initial; j < n; ++j) {
+    ASSERT_EQ(model.add_column(cost[static_cast<std::size_t>(j)], column(j)),
+              j);
+    const std::string step = "after appending column " + std::to_string(j);
+    ASSERT_NO_FATAL_FAILURE(check(step));
+    for (int k = 0; k <= j; ++k) {
+      double reduced = cost[static_cast<std::size_t>(k)];
+      for (int r = 0; r < rows; ++r) {
+        reduced -= warm.duals[static_cast<std::size_t>(r)] *
+                   a[static_cast<std::size_t>(r)][static_cast<std::size_t>(k)];
+      }
+      EXPECT_GE(reduced, -1e-7) << step << ", column " << k;
+    }
+  }
+
+  // Appends and bound changes compose: cap the largest value at half of
+  // itself (a dual repair), or, at x = 0, raise a lower bound instead.
+  int largest = 0;
+  for (int j = 1; j < n; ++j) {
+    if (warm.x[static_cast<std::size_t>(j)] >
+        warm.x[static_cast<std::size_t>(largest)]) {
+      largest = j;
+    }
+  }
+  const double value = warm.x[static_cast<std::size_t>(largest)];
+  if (value > 1e-9) {
+    model.mutable_variable(largest).upper = value / 2.0;
+  } else {
+    model.mutable_variable(largest).lower = 0.25;
+  }
+  ASSERT_NO_FATAL_FAILURE(check("after tightening a bound"));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomLpTest, ::testing::Range(1, 13));

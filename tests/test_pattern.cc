@@ -171,6 +171,30 @@ TEST(PricingTest, RespectsHeightBudget) {
             prep.space.num_priority());
 }
 
+TEST(PricingTest, ReportsNodeCap) {
+  const Prepared prep =
+      prepare(normalized(gen::by_name("mixed", 60, 8, 8)), 0.5);
+  // Zero duals prune at the root: a proven "no column", never capped.
+  bool capped = true;
+  EXPECT_FALSE(eptas::price_pattern(prep.space, zero_duals(prep.space), {},
+                                    &capped)
+                   .has_value());
+  EXPECT_FALSE(capped);
+  // A one-node budget stops the search: reported, and whatever column it
+  // returns is still a valid pattern.
+  PricingDuals duals = zero_duals(prep.space);
+  for (auto& value : duals.x_size) value = 50.0;
+  for (auto& row : duals.priority) {
+    for (auto& value : row) value = 50.0;
+  }
+  eptas::PricingOptions options;
+  options.max_nodes = 1;
+  const auto column = eptas::price_pattern(prep.space, duals, options,
+                                           &capped);
+  EXPECT_TRUE(capped);
+  if (column) EXPECT_LE(column->height, prep.space.max_height + 1e-9);
+}
+
 TEST(PricingTest, SmallBlockDualDiscouragesBag) {
   const Prepared prep =
       prepare(normalized(gen::by_name("mixed", 60, 8, 9)), 0.5);
